@@ -11,7 +11,8 @@ the requested precision.
 """
 
 from repro.core.config import ClusterConfig, ParserConfig
-from repro.core.model import ParserModel, TemplateNode, WILDCARD
+from repro.core.model import ParserModel, TemplateNode
+from repro.core.tokenizer import WILDCARD
 from repro.core.train import train_model, train_model_sequential
 from repro.core.match import match_df, match_sequential
 

@@ -9,10 +9,15 @@ saturation (§4.4 "ensure saturation increase"). Early-stop shortcuts
 (§4.7) skip the loop entirely for trivial nodes.
 
 For speed the kernel factorizes the group's hash matrix once into
-per-column integer codes: Eq.-2 frequencies reduce to ``bincount`` over
-the code vocabulary, and the saturation statistics operate on the code
-matrix directly (hashes and codes give identical distinctness-based
-results, asserted in tests).
+per-column integer codes, and the saturation statistics operate on the
+code matrix directly (hashes and codes give identical distinctness-based
+results, asserted in tests). Each node's statistics (``node_stats``: one
+sort and one ``bincount`` over all columns) are computed once in
+``build_tree`` and passed down to ``saturation``, the early stops and
+template rendering. Eq. 2 takes one ``bincount`` per cluster over
+vocabulary-offset codes and sums positions left to right, so every
+similarity, and hence every tie-break, is bit-identical to a
+per-position loop and trained models stay byte-identical.
 
 ``build_tree`` applies the process recursively until every node reaches
 the saturation target, producing the template tree rows that
@@ -58,10 +63,10 @@ def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.nd
 
 def _early_split(
     codes: np.ndarray,
-    vocab: np.ndarray,
     rows: np.ndarray,
     counts: np.ndarray,
     cfg: ClusterConfig,
+    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> list[np.ndarray] | None:
     """§4.7 early stops, on node-relative indices. Returns a partition
     (list of relative row-index arrays) or None when the full clustering
@@ -70,7 +75,8 @@ def _early_split(
     if n == 2:
         return [np.array([0]), np.array([1])]
     sub, cnt = codes[rows], counts[rows]
-    stats = node_stats(sub, cnt)
+    if stats is None:
+        stats = node_stats(sub, cnt)
     nu = stats[0]
     const, var = resolved_masks(sub, cfg, cnt, stats)
     unresolved = np.flatnonzero(~(const | var))
@@ -98,17 +104,19 @@ def split_node(
     parent_sat: float,
     cfg: ClusterConfig,
     rng: np.random.Generator,
+    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> list[np.ndarray] | None:
     """One single clustering process on ``rows`` of the node.
 
-    Returns the partition as absolute row-index arrays, or None when the
-    node cannot (or need not) be split further.
+    ``stats`` is the node's ``node_stats`` when the caller already has
+    it. Returns the partition as absolute row-index arrays, or None when
+    the node cannot (or need not) be split further.
     """
     n = len(rows)
     if n <= 1:
         return None
     if cfg.early_stop:
-        early = _early_split(codes, vocab, rows, counts, cfg)
+        early = _early_split(codes, rows, counts, cfg, stats)
         if early is not None:
             return [rows[c] for c in early] if len(early) > 1 else None
 
@@ -198,8 +206,9 @@ def build_tree(
     while stack:
         rows, parent = stack.pop()
         sub, cnt = codes[rows], counts[rows]
-        nu = node_stats(sub, cnt)[0]
-        sat = saturation(sub, cfg, cnt)
+        stats = node_stats(sub, cnt)
+        nu = stats[0]
+        sat = saturation(sub, cfg, cnt, stats=stats)
         if parent >= 0:
             sat = max(sat, out[parent].saturation)  # monotone down the tree
         first = texts[int(rows[0])]
@@ -212,7 +221,7 @@ def build_tree(
                     first[i] if nu[i] == 1 else wildcard for i in range(len(nu))
                 ),
                 saturation=float(sat),
-                n_logs=int(counts[rows].sum()),
+                n_logs=int(cnt.sum()),
                 n_unique=len(rows),
                 depth=0 if parent < 0 else out[parent].depth + 1,
                 rows=rows,
@@ -220,7 +229,7 @@ def build_tree(
         )
         if sat >= cfg.sat_target or len(rows) <= 1:
             continue
-        children = split_node(codes, vocab, counts, rows, sat, cfg, rng)
+        children = split_node(codes, vocab, counts, rows, sat, cfg, rng, stats=stats)
         if children is None:
             continue
         for child in children:

@@ -95,7 +95,6 @@ class ParserConfig:
     def ablate(self, **kw) -> "ParserConfig":
         """Return a copy with cluster- or parser-level fields replaced."""
         ckw = {k: v for k, v in kw.items() if hasattr(ClusterConfig, k)}
-        pkw = {k: v for k, v in kw.items() if not ckw or k not in ckw}
         pkw = {k: v for k, v in kw.items() if k not in ckw}
         cfg = replace(self, cluster=replace(self.cluster, **ckw)) if ckw else self
         return replace(cfg, **pkw) if pkw else cfg

@@ -9,62 +9,15 @@ similarity)" — we therefore treat Eq. 2 as a similarity and assign to
 the argmax (DESIGN.md §4). Constant positions (``n_i = 1``) get the
 finite cap ``cfg.const_weight`` instead of the paper's infinite weight.
 
-``cluster_similarity`` is the reference implementation over raw hash
-matrices; ``similarity_matrix_codes`` is the equivalent fast path over
-per-column factorized codes (asserted equal in tests) used by the
-clustering kernel.
+The clustering kernel works on per-column factorized codes; a
+per-position reference over raw hash matrices lives with the tests,
+which assert the two agree.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.config import ClusterConfig
-
-
-def cluster_similarity(
-    mat: np.ndarray,
-    counts: np.ndarray,
-    member_idx: np.ndarray,
-    cfg: ClusterConfig,
-) -> np.ndarray:
-    """Eq.-2 similarity of every log in ``mat`` to one cluster.
-
-    ``mat`` is the node's (n, m) hash matrix, ``counts`` the duplicate
-    count per unique log, ``member_idx`` the rows currently in the
-    cluster. Returns a length-n float array in [0, 1].
-    """
-    n, m = mat.shape
-    sub = mat[member_idx]
-    w_cnt = counts[member_idx].astype(np.float64)
-    total = w_cnt.sum()
-    weights = np.zeros(m, dtype=np.float64)
-    freqs = np.zeros((n, m), dtype=np.float64)
-    for i in range(m):
-        vals, inv = np.unique(sub[:, i], return_inverse=True)
-        per_val = np.bincount(inv, weights=w_cnt)
-        n_i = len(vals)
-        if cfg.position_importance:
-            weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
-        else:
-            weights[i] = 1.0
-        # f_i(L, C): frequency of L's token at position i within C.
-        pos = np.clip(np.searchsorted(vals, mat[:, i]), 0, n_i - 1)
-        hit = vals[pos] == mat[:, i]
-        freqs[:, i] = np.where(hit, per_val[pos], 0.0) / total
-    wsum = weights.sum()
-    return freqs @ weights / wsum if wsum > 0 else np.zeros(n)
-
-
-def similarity_matrix(
-    mat: np.ndarray,
-    counts: np.ndarray,
-    clusters: list[np.ndarray],
-    cfg: ClusterConfig,
-) -> np.ndarray:
-    """(n, k) similarity of every log to every cluster (reference)."""
-    return np.column_stack(
-        [cluster_similarity(mat, counts, c, cfg) for c in clusters]
-    )
 
 
 def similarity_matrix_codes(
@@ -77,25 +30,30 @@ def similarity_matrix_codes(
     """(n, k) Eq.-2 similarity over factorized codes.
 
     ``codes``: (n, m) int32 with ``codes[:, i]`` in [0, vocab[i]);
-    ``clusters``: row-index arrays. One ``bincount`` per (cluster,
-    position) replaces the reference path's ``np.unique`` calls.
+    ``clusters``: row-index arrays. Each column's codes are offset by
+    the cumulative vocabulary so one ``bincount`` per cluster yields
+    every position's per-value weights. Positions are summed left to
+    right (``cumsum``, not a pairwise ``sum`` or a matmul), so each
+    similarity — and every argmax tie it decides — is bit-identical to
+    a per-position accumulation.
     """
     n, m = codes.shape
-    k = len(clusters)
-    sims = np.empty((n, k), dtype=np.float64)
+    off = np.zeros(m, dtype=np.int64)
+    np.cumsum(vocab[:-1], out=off[1:])
+    codes_off = codes + off
+    n_vals = int(vocab.sum())
+    cnt = counts.astype(np.float64)
+    sims = np.empty((n, len(clusters)), dtype=np.float64)
     for j, member in enumerate(clusters):
-        w_cnt = counts[member].astype(np.float64)
-        total = w_cnt.sum()
-        weights = np.empty(m, dtype=np.float64)
-        acc = np.zeros(n, dtype=np.float64)
-        sub = codes[member]
-        for i in range(m):
-            per_val = np.bincount(sub[:, i], weights=w_cnt, minlength=int(vocab[i]))
-            n_i = int(np.count_nonzero(per_val))
-            if cfg.position_importance:
-                weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
-            else:
-                weights[i] = 1.0
-            acc += weights[i] * per_val[codes[:, i]]
-        sims[:, j] = acc / (total * weights.sum())
+        w_cnt = cnt[member]
+        per_val = np.bincount(
+            codes_off[member].ravel(), weights=np.repeat(w_cnt, m), minlength=n_vals
+        )
+        if cfg.position_importance:
+            n_i = np.add.reduceat(per_val > 0, off)
+            weights = np.where(n_i <= 1, cfg.const_weight, 1.0 / np.maximum(n_i - 1, 1))
+        else:
+            weights = np.ones(m)
+        acc = np.cumsum(per_val[codes_off] * weights, axis=1)[:, -1]
+        sims[:, j] = acc / (w_cnt.sum() * weights.sum())
     return sims

@@ -22,7 +22,8 @@ from repro.core.model import ParserModel, _SEP
 from repro.core.tokenizer import preprocess_message
 from repro.core.train import preprocess_df
 
-#: executor-side model cache keyed by the broadcast JSON's identity, so
+#: executor-side model cache keyed by the model broadcast's id (unique
+#: within a SparkContext, unlike the id() of a collectable string), so
 #: the matching index is built once per executor, not once per task.
 _MODEL_CACHE: dict[int, ParserModel] = {}
 
@@ -92,9 +93,9 @@ def match_df(
     blob = model.to_json()
     b_model = spark.sparkContext.broadcast(blob)
     b_anc = spark.sparkContext.broadcast(_ancestor_map(model, threshold))
+    key = b_model._jbroadcast.id()  # pyspark exposes the id only via the JVM handle
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        key = id(b_model.value)
         m = _MODEL_CACHE.get(key)
         if m is None:
             m = ParserModel.from_json(b_model.value)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-WILDCARD = "*"
+from repro.core.tokenizer import WILDCARD
+
 _SEP = "\x1f"
 
 

@@ -38,22 +38,25 @@ def node_stats(
     mat: np.ndarray, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-position (distinct count, top-value weighted count) plus the
-    duplicate-weighted log total for a node matrix."""
+    duplicate-weighted log total for a node matrix.
+
+    One pass over all columns: a stable sort of every column turns each
+    distinct value into a run, ``nu`` counts run starts per column and a
+    single ``bincount`` over column-major run ids sums each value's
+    weights. Weights are integer counts, so the float sums are exact and
+    equal to a per-column ``np.unique`` + ``bincount``.
+    """
     n, m = mat.shape
     w = np.ones(n) if counts is None else counts.astype(np.float64)
-    nu = np.empty(m, dtype=np.int64)
-    topc = np.empty(m, dtype=np.float64)
-    for i in range(m):
-        _, inv = np.unique(mat[:, i], return_inverse=True)
-        per_val = np.bincount(inv, weights=w)
-        nu[i] = len(per_val)
-        topc[i] = per_val.max()
-    return nu, topc, float(w.sum())
-
-
-def distinct_counts(mat: np.ndarray) -> np.ndarray:
-    """Distinct token count per position (length-m int array)."""
-    return node_stats(mat)[0]
+    cols = mat.T
+    order = np.argsort(cols, axis=1, kind="stable")
+    srt = cols[np.arange(m)[:, None], order]
+    starts = np.empty((m, n), dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=starts[:, 1:])
+    run = np.cumsum(starts.ravel()) - 1
+    per_val = np.bincount(run, weights=w[order].ravel())
+    return starts.sum(axis=1), np.maximum.reduceat(per_val, run[::n]), float(w.sum())
 
 
 def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float) -> np.ndarray:
@@ -102,14 +105,19 @@ def resolved_masks(
 
 
 def saturation(
-    mat: np.ndarray, cfg: ClusterConfig, counts: np.ndarray | None = None
+    mat: np.ndarray,
+    cfg: ClusterConfig,
+    counts: np.ndarray | None = None,
+    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> float:
     """Eq. 3 with resolved-variable credit; 1.0 for singletons and for
-    fully-resolved nodes, strictly below 1.0 otherwise."""
+    fully-resolved nodes, strictly below 1.0 otherwise. ``stats`` is the
+    node's ``node_stats`` when the caller already has it."""
     n, m = mat.shape
     if n <= 1 or m == 0:
         return 1.0
-    stats = node_stats(mat, counts)
+    if stats is None:
+        stats = node_stats(mat, counts)
     nu, _topc, n_w = stats
     const, var = resolved_masks(mat, cfg, counts, stats)
     m_r = int(const.sum() + var.sum())

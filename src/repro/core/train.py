@@ -19,10 +19,15 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.cluster import build_tree
+from repro.core.cluster import TreeRow, build_tree
 from repro.core.config import ParserConfig
-from repro.core.model import ParserModel, WILDCARD, hash_tokens, _SEP
-from repro.core.tokenizer import preprocess_message, spark_replace_variables, spark_tokenize
+from repro.core.model import ParserModel, hash_tokens, _SEP
+from repro.core.tokenizer import (
+    WILDCARD,
+    preprocess_message,
+    spark_replace_variables,
+    spark_tokenize,
+)
 
 _TREE_SCHEMA = (
     "group_key string, idx long, parent long, template string, "
@@ -59,11 +64,16 @@ def _cluster_group(
     counts: np.ndarray,
     texts: list[tuple[str, ...]],
     cfg: ParserConfig,
-) -> pd.DataFrame:
-    """Cluster one initial group; returns tree rows as a pandas frame."""
+) -> tuple[list[TreeRow], list[tuple[str, ...]]]:
+    """Cluster one initial group; returns its tree rows and the
+    canonically ordered texts their ``rows`` index into."""
     mat, counts, texts = _canonicalize(mat, counts, texts, cfg)
     rng = np.random.default_rng(_group_seed(group_key, cfg.cluster.seed))
-    rows = build_tree(mat, counts, texts, cfg.cluster, rng, wildcard=WILDCARD)
+    return build_tree(mat, counts, texts, cfg.cluster, rng, wildcard=WILDCARD), texts
+
+
+def _tree_frame(group_key: str, rows: list[TreeRow]) -> pd.DataFrame:
+    """Tree rows of one group as a pandas frame (``_TREE_SCHEMA``)."""
     return pd.DataFrame(
         {
             "group_key": group_key,
@@ -80,6 +90,8 @@ def _cluster_group(
 
 def _assemble(model: ParserModel, tree_rows: pd.DataFrame) -> ParserModel:
     """Tree rows (any group order) -> model nodes with global ids."""
+    if tree_rows.empty:
+        return model
     for gk, grp in tree_rows.groupby("group_key", sort=True):
         grp = grp.sort_values("idx")
         local_to_global: dict[int, int] = {}
@@ -133,7 +145,7 @@ def train_model(
         mat = np.array([np.asarray(h, dtype=np.int64) for h in pdf["hashes"]], dtype=np.int64)
         counts = pdf["cnt"].to_numpy(dtype=np.int64)
         texts = [tuple(t) for t in pdf["tokens"]]
-        return _cluster_group(str(key[0]), mat, counts, texts, cfg)
+        return _tree_frame(str(key[0]), _cluster_group(str(key[0]), mat, counts, texts, cfg)[0])
 
     tree_rows = (
         uniq.groupBy("group_key")
@@ -174,16 +186,11 @@ def train_model_sequential(
         texts = [t for t, _ in entries]
         mat = np.vstack([hash_tokens(t) for t in texts])
         counts = np.array([c for _, c in entries], dtype=np.int64)
-        frame = _cluster_group(gk, mat, counts, texts, cfg)
-        frames.append(frame)
+        rows, ctexts = _cluster_group(gk, mat, counts, texts, cfg)
+        frames.append(_tree_frame(gk, rows))
         if cfg.naive_match:
             # Deepest node containing each unique log = its training
-            # assignment (the "w/ naive match" ablation, §5.4.1). Uses
-            # the same canonicalization as _cluster_group so local node
-            # indices line up.
-            cmat, ccounts, ctexts = _canonicalize(mat, counts, texts, cfg)
-            rng = np.random.default_rng(_group_seed(gk, cfg.cluster.seed))
-            rows = build_tree(cmat, ccounts, ctexts, cfg.cluster, rng, wildcard=WILDCARD)
+            # assignment (the "w/ naive match" ablation, §5.4.1).
             deepest: dict[int, tuple[int, int]] = {}
             for r in rows:
                 for u in r.rows:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
-from repro.core.distance import cluster_similarity, similarity_matrix, similarity_matrix_codes
+from repro.core.distance import similarity_matrix_codes
 from repro.core.model import hash_tokens
+from tests.kernel_reference import cluster_similarity, similarity_matrix
 
 CFG = ClusterConfig()
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ClusterConfig
 from repro.core.model import hash_tokens
-from repro.core.saturation import distinct_counts, node_stats, resolved_masks, saturation
+from repro.core.saturation import node_stats, resolved_masks, saturation
 
 CFG = ClusterConfig()
 
@@ -119,7 +119,7 @@ class TestAblationFormulas:
 
 class TestStats:
     def test_distinct_counts(self):
-        nu = distinct_counts(mat_of(SET2))
+        nu = node_stats(mat_of(SET2))[0]
         assert nu.tolist() == [1, 3, 1, 3, 2]
 
     def test_node_stats_weighted_total(self):

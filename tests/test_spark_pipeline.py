@@ -62,6 +62,15 @@ class TestTrainParity:
         b = sorted((nd.text(), round(nd.saturation, 9), nd.n_logs) for nd in m_seq.nodes)
         assert a == b
 
+    @pytest.mark.parametrize("messages", [[], ["", "  ", " ,; "]], ids=["empty", "all-blank"])
+    def test_no_tokens_gives_empty_model(self, spark, messages):
+        df = spark.createDataFrame(
+            pd.DataFrame({"message": pd.Series(messages, dtype=object)}), "message string"
+        )
+        model = train_model(spark, df)
+        assert model.nodes == []
+        assert model.to_json() == train_model_sequential(messages).to_json()
+
     def test_prefix_grouping_spark(self, spark):
         pdf = pd.DataFrame({"message": ["alpha x1 y", "beta x2 y"] * 5, "log_id": range(10)})
         cfg = ParserConfig(prefix_k=1)

@@ -29,6 +29,14 @@ class TestTrain:
         model = train_model_sequential(["", "  ", "a b"])
         assert len(model.nodes) == 1
 
+    @pytest.mark.parametrize("messages", [[], ["", "  ", "\t"]], ids=["empty", "all-blank"])
+    def test_no_tokens_gives_empty_model(self, messages):
+        model = train_model_sequential(messages)
+        assert model.nodes == []
+        # An empty model still matches: every log becomes a temporary template.
+        assert match_sequential(["a b", "a b"], model) == [0, 0]
+        assert model.nodes[0].text() == "a b"
+
     def test_lengths_grouped_separately(self):
         model = train_model_sequential(["a b", "a b c", "a b c d"])
         assert len({nd.group_key for nd in model.nodes}) == 3
