@@ -62,7 +62,7 @@ def match_sequential(
             memo[toks] = nid
         out.append(nid)
     if threshold is not None:
-        anc = _ancestor_map(model, threshold)
+        anc = {nid: model.ancestor_at(nid, threshold) for nid in set(out) if nid >= 0}
         out = [anc.get(nid, nid) for nid in out]
     return out
 

@@ -4,15 +4,19 @@ The model stores only node metadata (template text, saturation,
 parent/child links, counts) — exactly what the paper keeps in its
 internal topic (§3) — so it is small and JSON-serializable. Online
 matching (§4.8) never recomputes distances: logs are matched against
-template texts in descending saturation order, with an inverted index
-on the most discriminative token position per length bucket so each log
-only inspects a handful of candidate templates.
+template texts in descending saturation order. The index codes every
+template token with one vocabulary (a dict probe per log token, and
+exact token equality), keeps one inverted index per length bucket on
+the most discriminative token position, and scans a log's candidates in
+rank order, stopping at the first hit, so each log only inspects a
+handful of templates.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,10 +26,10 @@ _SEP = "\x1f"
 
 
 def token_hash64(token: str) -> int:
-    """Deterministic 64-bit token hash for the matching index and the
-    pure-Python training path (the Spark path uses Catalyst's
-    ``xxhash64``; the two never need to agree because templates are
-    exchanged as text — see DESIGN.md §6)."""
+    """Deterministic 64-bit token hash for the pure-Python training path
+    (the Spark path uses Catalyst's ``xxhash64``; the two never need to
+    agree because templates are exchanged as text — see DESIGN.md §6).
+    Matching does not hash: it codes tokens with the model's vocabulary."""
     return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big", signed=True)
 
 
@@ -52,49 +56,57 @@ class TemplateNode:
 class _LengthBucket:
     """Matching index for all templates of one token count.
 
-    Templates are ordered by descending saturation (deepest-first
-    tie-break), and keyed by the token at the most discriminative
-    position ``p*`` — any template matching a log either agrees with the
-    log at ``p*`` or holds a wildcard there, so the candidate set
-    ``index[log[p*]] ∪ wild_rows`` is exact, not approximate.
+    Row ``r`` is the template of saturation rank ``r`` (descending
+    saturation, deepest first on ties, then node id). A template is
+    stored as an ``itemgetter`` over its non-wildcard positions plus the
+    vocabulary codes it holds there, so a log (coded with the same
+    vocabulary, ``-1`` for a token no template has) matches row ``r``
+    iff ``getters[r](codes) == vals[r]``: token equality is exact, and
+    ``-1`` can only meet a wildcard. Rows are keyed by their token at the
+    most discriminative position ``p*``; any template matching a log
+    either agrees with the log at ``p*`` or holds a wildcard there, so
+    scanning ``index[log[p*]]`` in rank order up to the first hit, then
+    ``wild_rows`` up to that rank, finds the first match in saturation
+    order exactly.
     """
 
-    def __init__(self, nodes: list[TemplateNode]):
-        order = sorted(range(len(nodes)), key=lambda i: (-nodes[i].saturation, -nodes[i].depth))
-        self.nids = np.array([nodes[i].nid for i in order], dtype=np.int64)
-        tmpls = [nodes[i].template for i in order]
-        t, m = len(tmpls), len(tmpls[0])
-        self.wild = np.array([[tok == WILDCARD for tok in tp] for tp in tmpls], dtype=bool)
-        self.hashes = np.array([[token_hash64(tok) for tok in tp] for tp in tmpls], dtype=np.int64)
+    def __init__(self, nodes: list[TemplateNode], vocab: dict[str, int]):
+        order = sorted(nodes, key=lambda nd: (-nd.saturation, -nd.depth))
+        self.nids = [nd.nid for nd in order]
+        rows = [[-1 if tok == WILDCARD else vocab[tok] for tok in nd.template] for nd in order]
+        fixed = ([p for p, code in enumerate(codes) if code >= 0] for codes in rows)
+        self.getters = [itemgetter(*ps) if ps else lambda c: () for ps in fixed]
+        self.vals = [get(codes) for get, codes in zip(self.getters, rows)]
         # Pick p*: minimize expected candidates = #wild + #nonwild/#distinct.
         best, best_cost = 0, float("inf")
-        for p in range(m):
-            nz = ~self.wild[:, p]
-            distinct = len(set(self.hashes[nz, p])) if nz.any() else 0
-            cost = (~nz).sum() + ((nz.sum() / distinct) if distinct else 0.0)
+        for p in range(len(rows[0])):
+            held = [codes[p] for codes in rows if codes[p] >= 0]
+            distinct = len(set(held))
+            cost = (len(rows) - len(held)) + (len(held) / distinct if distinct else 0.0)
             if cost < best_cost:
                 best, best_cost = p, cost
         self.pstar = best
-        self.wild_rows = np.flatnonzero(self.wild[:, best])
-        self.index: dict[int, np.ndarray] = {}
-        nonwild = np.flatnonzero(~self.wild[:, best])
-        by_val: dict[int, list[int]] = {}
-        for r in nonwild:
-            by_val.setdefault(int(self.hashes[r, best]), []).append(int(r))
-        self.index = {v: np.array(rs, dtype=np.int64) for v, rs in by_val.items()}
+        by_code: dict[int, list[int]] = {}
+        for r, codes in enumerate(rows):
+            by_code.setdefault(codes[best], []).append(r)
+        self.wild_rows = tuple(by_code.pop(-1, ()))
+        self.index = {code: tuple(rs) for code, rs in by_code.items()}
 
-    def match(self, hashes: np.ndarray) -> int:
+    def match(self, codes: list[int]) -> int:
         """First matching template's nid in saturation order, or -1."""
-        cand = self.index.get(int(hashes[self.pstar]))
-        if cand is None:
-            cand = self.wild_rows
-        elif len(self.wild_rows):
-            cand = np.sort(np.concatenate([cand, self.wild_rows]))  # row id == sat rank
-        if not len(cand):
-            return -1
-        ok = ((self.hashes[cand] == hashes) | self.wild[cand]).all(axis=1)
-        hit = np.flatnonzero(ok)
-        return int(self.nids[cand[hit[0]]]) if len(hit) else -1
+        getters, vals = self.getters, self.vals
+        hit = len(self.nids)
+        for r in self.index.get(codes[self.pstar], ()):
+            if getters[r](codes) == vals[r]:
+                hit = r
+                break
+        for r in self.wild_rows:
+            if r >= hit:
+                break
+            if getters[r](codes) == vals[r]:
+                hit = r
+                break
+        return self.nids[hit] if hit < len(self.nids) else -1
 
 
 class ParserModel:
@@ -103,6 +115,7 @@ class ParserModel:
     def __init__(self, nodes: list[TemplateNode] | None = None):
         self.nodes: list[TemplateNode] = nodes or []
         self._buckets: dict[int, _LengthBucket] | None = None
+        self._vocab: dict[str, int] = {}  # template token -> code, built with _buckets
         #: optional training assignment for the "naive match" ablation:
         #: exact token sequence -> nid of the clustering-tree node.
         self.train_assignment: dict[str, int] = {}
@@ -125,10 +138,14 @@ class ParserModel:
     # -- matching (§4.8) ----------------------------------------------
     def _ensure_index(self) -> dict[int, _LengthBucket]:
         if self._buckets is None:
+            vocab: dict[str, int] = {}
             by_len: dict[int, list[TemplateNode]] = {}
             for nd in self.nodes:
+                for tok in nd.template:
+                    vocab.setdefault(tok, len(vocab))
                 by_len.setdefault(len(nd.template), []).append(nd)
-            self._buckets = {m: _LengthBucket(nds) for m, nds in by_len.items()}
+            self._vocab = vocab
+            self._buckets = {m: _LengthBucket(nds, vocab) for m, nds in by_len.items()}
         return self._buckets
 
     def match_tokens(self, tokens: tuple[str, ...]) -> int:
@@ -136,7 +153,8 @@ class ParserModel:
         bucket = self._ensure_index().get(len(tokens))
         if bucket is None:
             return -1
-        return bucket.match(hash_tokens(tokens))
+        vocab = self._vocab
+        return bucket.match([vocab.get(t, -1) for t in tokens])
 
     # -- query-time precision control (§3 Query) ----------------------
     def ancestor_at(self, nid: int, threshold: float) -> int:

@@ -6,7 +6,8 @@ clustering kernel was vectorised (one-pass node statistics, one
 ``bincount`` per cluster for Eq. 2). ``naive_match`` only adds the
 training assignment, which ``to_json`` does not serialize, so that case
 pins a digest of the assignment too. A change that alters the trees on
-purpose must re-record these and say so.
+purpose must re-record these with
+``PYTHONPATH=src python -m tests.record_golden --write`` and say so.
 """
 import hashlib
 import json
@@ -15,6 +16,8 @@ import pytest
 
 from repro.core import ParserConfig, train_model_sequential
 from repro.logs import loghub_lite
+
+CORPORA = ("HDFS", "Zookeeper", "Hadoop", "Mac")
 
 VARIANTS = {
     "default": {},
@@ -77,7 +80,15 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def model_digest(msgs: list[str], variant: str) -> str | tuple[str, str]:
+    cfg = ParserConfig().ablate(**VARIANTS[variant])
+    model = train_model_sequential(msgs, cfg)
+    if cfg.naive_match:
+        return sha256(model.to_json()), sha256(json.dumps(sorted(model.train_assignment.items())))
+    return sha256(model.to_json())
+
+
+@pytest.fixture(scope="module", params=CORPORA)
 def corpus(request):
     return request.param, loghub_lite(request.param)[0]["message"].tolist()
 
@@ -85,12 +96,4 @@ def corpus(request):
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_model_digest_unchanged(corpus, variant):
     name, msgs = corpus
-    model = train_model_sequential(msgs, ParserConfig().ablate(**VARIANTS[variant]))
-    want = GOLDEN[name][variant]
-    if isinstance(want, tuple):
-        want_model, want_assignment = want
-        assignment = json.dumps(sorted(model.train_assignment.items()))
-        assert sha256(assignment) == want_assignment
-    else:
-        want_model = want
-    assert sha256(model.to_json()) == want_model
+    assert model_digest(msgs, variant) == GOLDEN[name][variant]

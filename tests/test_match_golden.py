@@ -1,0 +1,160 @@
+"""Golden match digests: a matcher change that is meant to be a pure
+performance change must give every log the same node id.
+
+Each case trains a model on a LogHub-lite corpus (all of it, or its
+first 30% so that unmatched logs become temporary templates), then
+matches the whole corpus with ``match_sequential`` in 100-log batches on
+that one live model. The golden value is ``sha256`` of the JSON list of
+matched ids, paired with the model's final node count. The digests were
+recorded before the matching index moved from 64-bit token hashes to
+vocabulary codes. A change that alters matches on purpose must re-record
+them with ``PYTHONPATH=src python -m tests.record_golden --write`` and
+say so.
+"""
+import hashlib
+import json
+
+import pytest
+
+from repro.core import ParserConfig, match_sequential, train_model_sequential
+from repro.logs import loghub_lite
+
+CORPORA = ("HDFS", "Zookeeper", "Hadoop", "Mac")
+
+#: case -> (share of the corpus trained on, config fields, query threshold)
+CASES = {
+    "all": (1.0, {}, None),
+    "all@0.8": (1.0, {}, 0.8),
+    "first30%": (0.3, {}, None),
+    "first30%@0.8": (0.3, {}, 0.8),
+    "all,naive_match@0.8": (1.0, {"naive_match": True}, 0.8),
+    "first30%,naive_match@0.8": (0.3, {"naive_match": True}, 0.8),
+}
+
+GOLDEN = {
+    "HDFS": {
+        "all": (
+            "29559a211f33191cc17ce6e29071f49bc00bdb220daa63fadc9fe00a6cbcd11b",
+            20,
+        ),
+        "all@0.8": (
+            "29559a211f33191cc17ce6e29071f49bc00bdb220daa63fadc9fe00a6cbcd11b",
+            20,
+        ),
+        "first30%": (
+            "a652ae2b363d9db3c11d552312c8c7746a885a2965cb9e92d7ae42aa02042cb3",
+            21,
+        ),
+        "first30%@0.8": (
+            "a652ae2b363d9db3c11d552312c8c7746a885a2965cb9e92d7ae42aa02042cb3",
+            21,
+        ),
+        "all,naive_match@0.8": (
+            "29559a211f33191cc17ce6e29071f49bc00bdb220daa63fadc9fe00a6cbcd11b",
+            20,
+        ),
+        "first30%,naive_match@0.8": (
+            "a652ae2b363d9db3c11d552312c8c7746a885a2965cb9e92d7ae42aa02042cb3",
+            21,
+        ),
+    },
+    "Zookeeper": {
+        "all": (
+            "6811ef01f0f77f2d29d8a40b8398e10309b17f0cd9a777d3e99663c6dd4ccb8d",
+            98,
+        ),
+        "all@0.8": (
+            "9a77042e42bc5816ec2d687785ecb78898b633fb29d5979e25273f2fe9681a21",
+            98,
+        ),
+        "first30%": (
+            "507ceab0115843c79b11191d63fb4824924929c9fd7829b0f371adfd86877b7e",
+            91,
+        ),
+        "first30%@0.8": (
+            "b7d39284d0da9d1ef233f11a5a027ae32fd4b97a5950f72633a42c814a811530",
+            91,
+        ),
+        "all,naive_match@0.8": (
+            "9a77042e42bc5816ec2d687785ecb78898b633fb29d5979e25273f2fe9681a21",
+            98,
+        ),
+        "first30%,naive_match@0.8": (
+            "b7d39284d0da9d1ef233f11a5a027ae32fd4b97a5950f72633a42c814a811530",
+            91,
+        ),
+    },
+    "Hadoop": {
+        "all": (
+            "5d1664a1c7b462ea0fcd14f35fb1127c0f8c12fd04c617208195d199acd5cb26",
+            219,
+        ),
+        "all@0.8": (
+            "8e771fab59a15b6adcedca9dc1f252ab0e89e110420159efeaeb0f42011ef1a1",
+            219,
+        ),
+        "first30%": (
+            "1a399f556777ebe26596055aec8463c38a41aa1abb0a2397bbcfc46a47824489",
+            134,
+        ),
+        "first30%@0.8": (
+            "b50a22af62f3769a6b14bdf820bfab4f36864cf5886487b53a3f7d58c12feb70",
+            134,
+        ),
+        "all,naive_match@0.8": (
+            "8e771fab59a15b6adcedca9dc1f252ab0e89e110420159efeaeb0f42011ef1a1",
+            219,
+        ),
+        "first30%,naive_match@0.8": (
+            "b50a22af62f3769a6b14bdf820bfab4f36864cf5886487b53a3f7d58c12feb70",
+            134,
+        ),
+    },
+    "Mac": {
+        "all": (
+            "85cc8beed793cf0a142e49a2cf1e121269f52b94ee5a6ba3f71a73295b03bab6",
+            338,
+        ),
+        "all@0.8": (
+            "814e3f0db9442ab34ef5575c05bae829f16b269c63b69f58aad02a66ff42f59e",
+            338,
+        ),
+        "first30%": (
+            "97dd510a3c23c91e4d4737e455b45f0ebdff790af7b34af24f694e1aea1ca909",
+            146,
+        ),
+        "first30%@0.8": (
+            "d4c1279ddfbfcb9fa83f887508d4ada8afda324b7ea7cf330e66e5d0b5a6e877",
+            146,
+        ),
+        "all,naive_match@0.8": (
+            "3285233c91acf7683e4cbd113c1ce77e9b13d18721c8638c0e645cfb3f31658c",
+            338,
+        ),
+        "first30%,naive_match@0.8": (
+            "4ba4c40a7302698065a75147520fdb34458f0285c17e276c0fdcd603a1bfd043",
+            146,
+        ),
+    },
+}
+
+
+def match_digest(msgs: list[str], case: str) -> tuple[str, int]:
+    share, fields, threshold = CASES[case]
+    cfg = ParserConfig().ablate(**fields)
+    model = train_model_sequential(msgs[: int(len(msgs) * share)], cfg)
+    ids: list[int] = []
+    for i in range(0, len(msgs), 100):
+        ids += match_sequential(msgs[i : i + 100], model, cfg, threshold=threshold)
+    return hashlib.sha256(json.dumps(ids).encode()).hexdigest(), len(model.nodes)
+
+
+@pytest.fixture(scope="module", params=CORPORA)
+def corpus(request):
+    return request.param, loghub_lite(request.param)[0]["message"].tolist()
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_match_digest_unchanged(corpus, case):
+    name, msgs = corpus
+    assert match_digest(msgs, case) == GOLDEN[name][case]
