@@ -11,13 +11,18 @@ saturation (§4.4 "ensure saturation increase"). Early-stop shortcuts
 For speed the kernel factorizes the group's hash matrix once into
 per-column integer codes, and the saturation statistics operate on the
 code matrix directly (hashes and codes give identical distinctness-based
-results, asserted in tests). Each node's statistics (``node_stats``: one
-sort and one ``bincount`` over all columns) are computed once in
-``build_tree`` and passed down to ``saturation``, the early stops and
-template rendering. Eq. 2 takes one ``bincount`` per cluster over
-vocabulary-offset codes and sums positions left to right, so every
-similarity, and hence every tie-break, is bit-identical to a
-per-position loop and trained models stay byte-identical.
+results, asserted in tests). Each tree node is evaluated once: its
+statistics (``node_stats``: one sort and one ``bincount`` over all
+columns), its resolved masks (``resolved_masks``, multi-row nodes only)
+and its saturation are computed in ``build_tree`` and passed down to the
+early stops and template rendering. The ensure-saturation-increase check
+evaluates each converged multi-log cluster the same way into a table
+that lives for one ``build_tree`` call, so a cluster that becomes a
+child, or meets a later check, is not evaluated again. Eq. 2 takes one
+``bincount`` per cluster over vocabulary-offset codes and sums positions
+left to right, so every similarity, and hence every tie-break, is
+bit-identical to a per-position loop and trained models stay
+byte-identical.
 
 ``build_tree`` applies the process recursively until every node reaches
 the saturation target, producing the template tree rows that
@@ -35,6 +40,11 @@ from repro.core.saturation import node_stats, resolved_masks, saturation
 
 _EPS = 1e-12
 
+Stats = tuple[np.ndarray, np.ndarray, float]
+Masks = tuple[np.ndarray, np.ndarray]
+#: (node_stats, resolved_masks or None for a single row, raw saturation)
+NodeEval = tuple[Stats, Masks | None, float]
+
 
 def factorize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hash matrix -> (codes, vocab): per-column dense integer codes."""
@@ -48,6 +58,14 @@ def factorize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, vocab
 
 
+def _evaluate(
+    codes: np.ndarray, rows: np.ndarray, counts: np.ndarray, cfg: ClusterConfig
+) -> NodeEval:
+    """Statistics, resolved masks and raw saturation of the node ``rows``."""
+    sub, cnt = codes[rows], counts[rows]
+    stats = node_stats(sub, cnt)
+    masks = resolved_masks(sub, cfg, cnt, stats) if len(rows) > 1 else None
+    return stats, masks, saturation(sub, cfg, cnt, stats=stats, masks=masks)
 
 
 def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.ndarray:
@@ -66,7 +84,8 @@ def _early_split(
     rows: np.ndarray,
     counts: np.ndarray,
     cfg: ClusterConfig,
-    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
+    stats: Stats | None = None,
+    masks: Masks | None = None,
 ) -> list[np.ndarray] | None:
     """§4.7 early stops, on node-relative indices. Returns a partition
     (list of relative row-index arrays) or None when the full clustering
@@ -74,11 +93,12 @@ def _early_split(
     n = len(rows)
     if n == 2:
         return [np.array([0]), np.array([1])]
-    sub, cnt = codes[rows], counts[rows]
     if stats is None:
-        stats = node_stats(sub, cnt)
+        stats = node_stats(codes[rows], counts[rows])
+    if masks is None:
+        masks = resolved_masks(codes[rows], cfg, counts[rows], stats)
     nu = stats[0]
-    const, var = resolved_masks(sub, cfg, cnt, stats)
+    const, var = masks
     unresolved = np.flatnonzero(~(const | var))
     if len(unresolved) == 1:
         # Single unresolved position: split directly by its values.
@@ -104,21 +124,35 @@ def split_node(
     parent_sat: float,
     cfg: ClusterConfig,
     rng: np.random.Generator,
-    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
+    stats: Stats | None = None,
+    masks: Masks | None = None,
+    evaluated: dict[bytes, NodeEval] | None = None,
 ) -> list[np.ndarray] | None:
     """One single clustering process on ``rows`` of the node.
 
-    ``stats`` is the node's ``node_stats`` when the caller already has
-    it. Returns the partition as absolute row-index arrays, or None when
-    the node cannot (or need not) be split further.
+    ``stats`` and ``masks`` are the node's ``node_stats`` and
+    ``resolved_masks`` when the caller already has them. ``evaluated``
+    maps ``rows.tobytes()`` of a row set to its ``_evaluate`` result: the
+    ensure-saturation-increase check reads every converged multi-log
+    cluster from it, or scores the cluster and adds it. Returns the
+    partition as absolute row-index arrays, or None when the node cannot
+    (or need not) be split further.
     """
     n = len(rows)
     if n <= 1:
         return None
     if cfg.early_stop:
-        early = _early_split(codes, rows, counts, cfg, stats)
+        early = _early_split(codes, rows, counts, cfg, stats, masks)
         if early is not None:
             return [rows[c] for c in early] if len(early) > 1 else None
+    if evaluated is None:
+        evaluated = {}
+
+    def cluster_sat(c: np.ndarray) -> float:
+        key = rows[c].tobytes()
+        if key not in evaluated:
+            evaluated[key] = _evaluate(codes, rows[c], counts, cfg)
+        return evaluated[key][2]
 
     sub = codes[rows]
     cnt = counts[rows].astype(np.float64)
@@ -146,12 +180,7 @@ def split_node(
                 break
             # Converged: inject a new cluster if some multi-log cluster
             # failed to improve on the parent's saturation (§4.4).
-            bad = [
-                c for c in clusters
-                if len(c) > 1
-                and saturation(codes[rows[c]], cfg, counts[rows[c]])
-                <= parent_sat + _EPS
-            ]
+            bad = [c for c in clusters if len(c) > 1 and cluster_sat(c) <= parent_sat + _EPS]
             if not bad:
                 break
             pool = np.concatenate(bad)
@@ -202,13 +231,14 @@ def build_tree(
     codes, vocab = factorize(mat)
     out: list[TreeRow] = []
     all_rows = np.arange(mat.shape[0])
-    stack: list[tuple[np.ndarray, int]] = [(all_rows, -1)]
+    stack: list[tuple[np.ndarray, int, NodeEval | None]] = [(all_rows, -1, None)]
+    # Clusters scored by the ensure-saturation-increase checks of this
+    # tree, reused when their rows become a child.
+    evaluated: dict[bytes, NodeEval] = {}
     while stack:
-        rows, parent = stack.pop()
-        sub, cnt = codes[rows], counts[rows]
-        stats = node_stats(sub, cnt)
+        rows, parent, node = stack.pop()
+        stats, masks, sat = _evaluate(codes, rows, counts, cfg) if node is None else node
         nu = stats[0]
-        sat = saturation(sub, cfg, cnt, stats=stats)
         if parent >= 0:
             sat = max(sat, out[parent].saturation)  # monotone down the tree
         first = texts[int(rows[0])]
@@ -221,7 +251,7 @@ def build_tree(
                     first[i] if nu[i] == 1 else wildcard for i in range(len(nu))
                 ),
                 saturation=float(sat),
-                n_logs=int(cnt.sum()),
+                n_logs=int(counts[rows].sum()),
                 n_unique=len(rows),
                 depth=0 if parent < 0 else out[parent].depth + 1,
                 rows=rows,
@@ -229,9 +259,12 @@ def build_tree(
         )
         if sat >= cfg.sat_target or len(rows) <= 1:
             continue
-        children = split_node(codes, vocab, counts, rows, sat, cfg, rng, stats=stats)
+        children = split_node(
+            codes, vocab, counts, rows, sat, cfg, rng,
+            stats=stats, masks=masks, evaluated=evaluated,
+        )
         if children is None:
             continue
         for child in children:
-            stack.append((child, idx))
+            stack.append((child, idx, evaluated.get(child.tobytes())))
     return out

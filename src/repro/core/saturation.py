@@ -19,7 +19,11 @@ clustering. Implementation notes (DESIGN.md §4):
 All entry points take an ``(n, m)`` integer matrix for the node's
 *unique* logs — raw 64-bit hashes or factorized codes give identical
 results, since every statistic is distinctness/count based — plus the
-optional duplicate multiplicities.
+optional duplicate multiplicities. ``resolved_masks`` and ``saturation``
+accept the node's ``node_stats`` (and ``saturation`` its masks) when the
+caller already has them, so the clustering kernel evaluates each tree
+node once. The independence filter counts the distinct pairs of every
+candidate pair with one row-wise sort of their pair keys.
 """
 from __future__ import annotations
 
@@ -32,6 +36,9 @@ from repro.core.config import ClusterConfig
 #: multiplier for combining two code columns into pair keys; an odd
 #: constant keeps the map injective-in-practice under int64 wraparound.
 _PAIR_MIX = np.int64(-0x61C8864680B583EB)  # 0x9E3779B97F4A7C15 as signed
+
+#: pair-key elements sorted at once by ``_independent`` (4 MiB of int64)
+_PAIR_CHUNK = 1 << 19
 
 
 def node_stats(
@@ -59,23 +66,35 @@ def node_stats(
     return starts.sum(axis=1), np.maximum.reduceat(per_val, run[::n]), float(w.sum())
 
 
-def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float) -> np.ndarray:
+def _independent(
+    mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float, chunk: int = _PAIR_CHUNK
+) -> np.ndarray:
     """Pairwise-independence filter over candidate positions.
 
     Returns a boolean mask over ``cand``: a candidate survives only if,
     against every other candidate, the observed distinct-pair count
     reaches ``beta * min(n_unique, n_i * n_j)`` — correlated mixture
     columns produce far fewer distinct pairs than independent variables.
+
+    Each candidate pair's rows are combined into one int64 key per row
+    (``a * _PAIR_MIX + b``, wrapping); the keys of up to ``chunk``
+    elements' worth of pairs are sorted along the row axis at once and
+    their distinct counts are the run starts.
     """
     n = mat.shape[0]
-    k = len(cand)
-    ok = np.ones(k, dtype=bool)
-    cols = [mat[:, int(i)].astype(np.int64) for i in cand]
-    for a in range(k):
-        for b in range(a + 1, k):
-            d = len(np.unique(cols[a] * _PAIR_MIX + cols[b]))
-            if d < beta * min(n, int(nu[cand[a]]) * int(nu[cand[b]])):
-                ok[a] = ok[b] = False
+    ok = np.ones(len(cand), dtype=bool)
+    a, b = np.triu_indices(len(cand), 1)
+    cols = mat[:, cand].T.astype(np.int64)
+    nu_c = nu[cand].astype(np.int64)
+    need = beta * np.minimum(n, nu_c[a] * nu_c[b])
+    step = max(1, chunk // n)
+    for lo in range(0, len(a), step):
+        pa, pb = a[lo : lo + step], b[lo : lo + step]
+        keys = cols[pa] * _PAIR_MIX + cols[pb]
+        keys.sort(axis=1)
+        distinct = 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
+        bad = distinct < need[lo : lo + step]
+        ok[pa[bad]] = ok[pb[bad]] = False
     return ok
 
 
@@ -109,17 +128,19 @@ def saturation(
     cfg: ClusterConfig,
     counts: np.ndarray | None = None,
     stats: tuple[np.ndarray, np.ndarray, float] | None = None,
+    masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Eq. 3 with resolved-variable credit; 1.0 for singletons and for
-    fully-resolved nodes, strictly below 1.0 otherwise. ``stats`` is the
-    node's ``node_stats`` when the caller already has it."""
+    fully-resolved nodes, strictly below 1.0 otherwise. ``stats`` and
+    ``masks`` are the node's ``node_stats`` and ``resolved_masks`` when
+    the caller already has them."""
     n, m = mat.shape
     if n <= 1 or m == 0:
         return 1.0
     if stats is None:
         stats = node_stats(mat, counts)
     nu, _topc, n_w = stats
-    const, var = resolved_masks(mat, cfg, counts, stats)
+    const, var = resolved_masks(mat, cfg, counts, stats) if masks is None else masks
     m_r = int(const.sum() + var.sum())
     if m_r == m:
         return 1.0

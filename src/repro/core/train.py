@@ -13,6 +13,8 @@ and is asserted to produce the same template bank in tests.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
+from collections.abc import Collection
 
 import numpy as np
 import pandas as pd
@@ -161,31 +163,42 @@ def train_model_sequential(
     """Single-threaded training on a message list (*ByteBrain
     Sequential*): identical kernel, no Spark."""
     cfg = cfg or ParserConfig()
-    counts_by_tokens: dict[tuple[str, ...], int] = {}
-    for msg in messages:
-        toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
-        if not toks:
-            continue
-        if cfg.dedup:
-            counts_by_tokens[toks] = counts_by_tokens.get(toks, 0) + 1
-        else:
-            counts_by_tokens.setdefault((*toks, f"\x00{len(counts_by_tokens)}"), 1)
+    entries: Collection[tuple[tuple[str, ...], int]]
+    if cfg.dedup:
+        # Each distinct raw message is preprocessed once and adds its
+        # count to its token tuple (messages that differ only in a
+        # replaced variable share one).
+        counts_by_tokens: dict[tuple[str, ...], int] = {}
+        for msg, cnt in Counter(messages).items():
+            toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
+            if toks:
+                counts_by_tokens[toks] = counts_by_tokens.get(toks, 0) + cnt
+        entries = counts_by_tokens.items()
+    else:
+        # "w/o dedup" ablation (§5.4.3): every log is preprocessed and
+        # clustered as its own row.
+        entries = [
+            (toks, 1)
+            for msg in messages
+            if (toks := tuple(preprocess_message(msg, replace=cfg.replace_variables)))
+        ]
+    # One blake2b hash per distinct token of the call.
+    vocab = list({t for toks, _ in entries for t in toks})
+    hash_of = dict(zip(vocab, hash_tokens(vocab).tolist()))
     groups: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for toks, cnt in counts_by_tokens.items():
-        clean = toks if cfg.dedup else toks[:-1]
-        key = str(len(clean))
+    for toks, cnt in entries:
+        key = str(len(toks))
         if cfg.prefix_k > 0:
-            key += "|" + "|".join(clean[: cfg.prefix_k])
-        groups.setdefault(key, []).append((clean, cnt))
+            key += "|" + "|".join(toks[: cfg.prefix_k])
+        groups.setdefault(key, []).append((toks, cnt))
 
     model = ParserModel()
     frames = []
     assignment: dict[str, tuple[str, int]] = {}
     for gk in sorted(groups):
-        entries = groups[gk]
-        texts = [t for t, _ in entries]
-        mat = np.vstack([hash_tokens(t) for t in texts])
-        counts = np.array([c for _, c in entries], dtype=np.int64)
+        texts = [t for t, _ in groups[gk]]
+        mat = np.array([[hash_of[t] for t in toks] for toks in texts], dtype=np.int64)
+        counts = np.array([c for _, c in groups[gk]], dtype=np.int64)
         rows, ctexts = _cluster_group(gk, mat, counts, texts, cfg)
         frames.append(_tree_frame(gk, rows))
         if cfg.naive_match:

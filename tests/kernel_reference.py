@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ClusterConfig
+from repro.core.saturation import _PAIR_MIX
 
 
 def node_stats_reference(
@@ -23,6 +24,23 @@ def node_stats_reference(
         nu[i] = len(per_val)
         topc[i] = per_val.max()
     return nu, topc, float(w.sum())
+
+
+def independent_reference(
+    mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float
+) -> np.ndarray:
+    """``saturation._independent`` one candidate pair at a time, counting
+    each pair's distinct keys with ``np.unique``."""
+    n = mat.shape[0]
+    k = len(cand)
+    ok = np.ones(k, dtype=bool)
+    cols = [mat[:, int(i)].astype(np.int64) for i in cand]
+    for a in range(k):
+        for b in range(a + 1, k):
+            d = len(np.unique(cols[a] * _PAIR_MIX + cols[b]))
+            if d < beta * min(n, int(nu[cand[a]]) * int(nu[cand[b]])):
+                ok[a] = ok[b] = False
+    return ok
 
 
 def cluster_similarity(

@@ -15,13 +15,16 @@ import json
 import re
 from pathlib import Path
 
-from repro.logs import loghub_lite
 from tests import test_kernel_golden, test_match_golden
 
-#: (test module, its cases, digest function of (messages, case))
+#: (test module, corpus -> its cases, digest function of (messages, case))
 GOLDEN_FILES = [
-    (test_kernel_golden, test_kernel_golden.VARIANTS, test_kernel_golden.model_digest),
-    (test_match_golden, test_match_golden.CASES, test_match_golden.match_digest),
+    (test_kernel_golden, test_kernel_golden.CORPORA, test_kernel_golden.model_digest),
+    (
+        test_match_golden,
+        {name: tuple(test_match_golden.CASES) for name in test_match_golden.CORPORA},
+        test_match_golden.match_digest,
+    ),
 ]
 
 
@@ -45,10 +48,10 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--write", action="store_true", help="rewrite the GOLDEN blocks in place")
     args = ap.parse_args()
-    for module, cases, digest in GOLDEN_FILES:
+    for module, corpora, digest in GOLDEN_FILES:
         golden = {}
-        for name in module.CORPORA:
-            msgs = loghub_lite(name)[0]["message"].tolist()
+        for name, cases in corpora.items():
+            msgs = test_kernel_golden.corpus_messages(name)
             golden[name] = {case: digest(msgs, case) for case in cases}
         block = render(golden)
         path = Path(module.__file__)

@@ -5,8 +5,12 @@ The digests are ``sha256(ParserModel.to_json())`` recorded before the
 clustering kernel was vectorised (one-pass node statistics, one
 ``bincount`` per cluster for Eq. 2). ``naive_match`` only adds the
 training assignment, which ``to_json`` does not serialize, so that case
-pins a digest of the assignment too. A change that alters the trees on
-purpose must re-record these with
+pins a digest of the assignment too. ``web-access-high`` (recorded
+before training computed each node's statistics once) is one length
+group of all-unique access lines clustered as a single tree: it pins the
+independence filter on many rows and the reuse of the
+ensure-saturation-increase check's cluster statistics. A change that
+alters the trees on purpose must re-record these with
 ``PYTHONPATH=src python -m tests.record_golden --write`` and say so.
 """
 import hashlib
@@ -16,8 +20,7 @@ import pytest
 
 from repro.core import ParserConfig, train_model_sequential
 from repro.logs import loghub_lite
-
-CORPORA = ("HDFS", "Zookeeper", "Hadoop", "Mac")
+from repro.logs.production import production_corpus
 
 VARIANTS = {
     "default": {},
@@ -26,6 +29,12 @@ VARIANTS = {
     "dedup=False": {"dedup": False},
     "variable_credit=False": {"variable_credit": False},
     "naive_match=True": {"naive_match": True},
+}
+
+#: corpus -> the variants pinned on it
+CORPORA = {
+    **{name: tuple(VARIANTS) for name in ("HDFS", "Zookeeper", "Hadoop", "Mac")},
+    "web-access-high": ("default",),
 }
 
 GOLDEN = {
@@ -73,6 +82,9 @@ GOLDEN = {
             "cddd441386bb3be6261b4f10ce3b2edfa5f72d6b6215d8dc6974f1a3957f8bee",
         ),
     },
+    "web-access-high": {
+        "default": "6b894b9f41eb60bf9c94e69b735299b21b74c153b68f1bca442c3e178f31a61e",
+    },
 }
 
 
@@ -88,12 +100,27 @@ def model_digest(msgs: list[str], variant: str) -> str | tuple[str, str]:
     return sha256(model.to_json())
 
 
-@pytest.fixture(scope="module", params=CORPORA)
-def corpus(request):
-    return request.param, loghub_lite(request.param)[0]["message"].tolist()
+def corpus_messages(name: str) -> list[str]:
+    if name == "web-access-high":
+        return production_corpus(name, target_mb=0.25)["message"].tolist()
+    return loghub_lite(name)[0]["message"].tolist()
 
 
-@pytest.mark.parametrize("variant", list(VARIANTS))
-def test_model_digest_unchanged(corpus, variant):
-    name, msgs = corpus
-    assert model_digest(msgs, variant) == GOLDEN[name][variant]
+@pytest.fixture(scope="module")
+def messages():
+    """Corpus name -> messages, each corpus loaded once per module."""
+    loaded: dict[str, list[str]] = {}
+
+    def get(name: str) -> list[str]:
+        if name not in loaded:
+            loaded[name] = corpus_messages(name)
+        return loaded[name]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "name,variant", [(name, v) for name, variants in CORPORA.items() for v in variants]
+)
+def test_model_digest_unchanged(messages, name, variant):
+    assert model_digest(messages(name), variant) == GOLDEN[name][variant]

@@ -1,6 +1,7 @@
 """The vectorised kernel statistics equal the per-column references
 exactly: node statistics and Eq.-2 similarities feed argmax/argmin tie
-breaks, so any rounding difference could change the trained tree."""
+breaks, and the independence filter decides which positions count as
+resolved, so any difference could change the trained tree."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,12 @@ from hypothesis.extra import numpy as hnp
 from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
 from repro.core.distance import similarity_matrix_codes
-from repro.core.saturation import node_stats
-from tests.kernel_reference import node_stats_reference, similarity_matrix_codes_reference
+from repro.core.saturation import _independent, node_stats, resolved_masks, saturation
+from tests.kernel_reference import (
+    independent_reference,
+    node_stats_reference,
+    similarity_matrix_codes_reference,
+)
 
 
 @st.composite
@@ -82,3 +87,41 @@ def test_similarity_matrix_codes_equals_reference(case, k, importance, const_wei
     want = similarity_matrix_codes_reference(sub, vocab, cnt, clusters, cfg)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def independence_cases(draw):
+    """(mat, nu, cand, beta, chunk) for the independence filter: a node
+    matrix, its distinct counts, 0–12 candidate positions and a pair-key
+    chunk small enough that the candidate pairs cross chunk boundaries."""
+    mat, counts, rows = draw(node_matrices())
+    sub = mat[rows]
+    if draw(st.booleans()):
+        sub = factorize(sub)[0]  # code matrix
+    m = sub.shape[1]
+    cand = np.array(
+        sorted(draw(st.sets(st.integers(0, m - 1), max_size=min(m, 12)))), dtype=np.int64
+    )
+    beta = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0, 1.5]))
+    chunk = draw(st.integers(1, 3 * len(sub)))
+    return sub, node_stats(sub)[0], cand, beta, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(independence_cases())
+def test_independent_equals_reference(case):
+    mat, nu, cand, beta, chunk = case
+    want = independent_reference(mat, nu, cand, beta)
+    assert _independent(mat, nu, cand, beta, chunk).tolist() == want.tolist()
+    assert _independent(mat, nu, cand, beta).tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_matrices(), st.booleans(), st.booleans())
+def test_saturation_with_stats_and_masks_equals_saturation(case, credit, confidence):
+    mat, counts, rows = case
+    cfg = ClusterConfig(variable_credit=credit, confidence_factor=confidence)
+    sub, cnt = mat[rows], counts[rows]
+    stats = node_stats(sub, cnt)
+    masks = resolved_masks(sub, cfg, cnt, stats)
+    assert saturation(sub, cfg, cnt, stats=stats, masks=masks) == saturation(sub, cfg, cnt)

@@ -1,7 +1,14 @@
 """End-to-end sequential pipeline: train, match, query, ablations."""
+import inspect
+from collections import Counter
+
 import pytest
 
+import repro.core.cluster as cluster
+import repro.core.saturation as saturation
+import repro.core.train as train
 from repro.core import ParserConfig, match_sequential, train_model_sequential
+from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
 from repro.eval.ga import grouping_accuracy
 from repro.logs import loghub_lite
@@ -131,6 +138,70 @@ class TestDedupAblation:
         cfg = ParserConfig(dedup=False)
         model = train_model_sequential(SET1 * 2, cfg)
         assert model.nodes[0].n_logs == 10
+
+
+class TestComputeOnce:
+    """Training preprocesses each distinct message once and evaluates
+    each tree node once."""
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_preprocess_once_per_message(self, monkeypatch, dedup):
+        msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+        seen = []
+        real = train.preprocess_message
+
+        def counted(msg, **kwargs):
+            seen.append(msg)
+            return real(msg, **kwargs)
+
+        monkeypatch.setattr(train, "preprocess_message", counted)
+        train_model_sequential(msgs, ParserConfig(dedup=dedup))
+        # With dedup once per distinct raw message; without (the §5.4.3
+        # ablation) once per message.
+        assert Counter(seen) == Counter(set(msgs) if dedup else msgs)
+
+    # Mac: a split whose injected one-log cluster overlaps a sibling, so
+    # that log forms two tree nodes; Android: a cluster scored by the
+    # ensure-saturation-increase checks of two different splits.
+    @pytest.mark.parametrize("name", ["Mac", "Android"])
+    def test_each_node_evaluated_once(self, monkeypatch, name):
+        """No (sub-matrix, counts) pair reaches ``node_stats`` or
+        ``resolved_masks`` twice within one ``build_tree``, unless those
+        rows form more than one tree node."""
+        calls = {"node_stats": Counter(), "resolved_masks": Counter()}
+
+        def counted(fn):
+            sig = inspect.signature(fn)
+
+            def wrapper(*args, **kwargs):
+                bound = sig.bind(*args, **kwargs).arguments
+                calls[fn.__name__][bound["mat"].tobytes(), bound["counts"].tobytes()] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        originals = (saturation.node_stats, saturation.resolved_masks)
+        for module in (cluster, saturation):
+            for fn in originals:
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
+        real_build_tree = train.build_tree
+        n_trees = 0
+
+        def build_tree(mat, counts, *args, **kwargs):
+            nonlocal n_trees
+            n_trees += 1
+            for c in calls.values():
+                c.clear()
+            rows = real_build_tree(mat, counts, *args, **kwargs)
+            codes = factorize(mat)[0]
+            nodes = Counter((codes[r.rows].tobytes(), counts[r.rows].tobytes()) for r in rows)
+            for fn_calls in calls.values():
+                assert all(n <= max(1, nodes[key]) for key, n in fn_calls.items())
+            return rows
+
+        monkeypatch.setattr(train, "build_tree", build_tree)
+        train_model_sequential(loghub_lite(name)[0]["message"].tolist(), ParserConfig())
+        assert n_trees > 0
 
 
 class TestSamplingGuard:
