@@ -3,19 +3,20 @@
 Logs are matched against stored template texts (never by recomputing
 clustering distances): per length bucket, candidates are scanned in
 descending saturation order with an equal-or-wildcard position test.
-The Spark path deduplicates token sequences first (matching is a pure
-function of the token sequence), matches the distinct sequences inside
-``mapInPandas`` with the model broadcast to executors, and joins the
-verdicts back — so duplicate-heavy streams pay once per unique log.
+The Spark path is one stage without a shuffle: Catalyst preprocessing,
+then one ``mapInPandas`` task per core that matches with the model
+broadcast to executors, memoizes verdicts per token tuple within the
+task and attaches each matched id's threshold ancestor and text. A
+global dedup plus join back costs two shuffles, and each Python task a
+fixed start-up cost that outweighs small inputs' matching work.
 Logs that match nothing become temporary singleton templates (§3).
 """
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.config import ParserConfig
 from repro.core.model import ParserModel, _SEP
@@ -26,12 +27,6 @@ from repro.core.train import preprocess_df
 #: within a SparkContext, unlike the id() of a collectable string), so
 #: the matching index is built once per executor, not once per task.
 _MODEL_CACHE: dict[int, ParserModel] = {}
-
-
-def _ancestor_map(model: ParserModel, threshold: float | None) -> dict[int, int]:
-    if threshold is None:
-        return {}
-    return {nd.nid: model.ancestor_at(nd.nid, threshold) for nd in model.nodes}
 
 
 def match_sequential(
@@ -67,6 +62,39 @@ def match_sequential(
     return out
 
 
+def _executor_pass(
+    spark: SparkSession, df: DataFrame, model: ParserModel, cfg: ParserConfig,
+    col: str, keep: list[str], run: Callable, schema: str,
+) -> DataFrame:
+    """``run(executor_model, memo, batches)`` as one ``mapInPandas`` over
+    the ``(*keep, tokens)`` rows of the non-empty logs, one partition per
+    core, with a fresh ``_match_ids`` memo per task."""
+    blob = spark.sparkContext.broadcast(model.to_json())
+    key = blob._jbroadcast.id()  # pyspark exposes the id only via the JVM handle
+
+    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        m = _MODEL_CACHE.get(key)
+        if m is None:
+            m = ParserModel.from_json(blob.value)
+            _MODEL_CACHE.clear()
+            _MODEL_CACHE[key] = m
+        return run(m, {}, batches)
+
+    pre = preprocess_df(df.select(*keep, col), col, cfg).select(*keep, "tokens")
+    return pre.coalesce(spark.sparkContext.defaultParallelism).mapInPandas(task, schema=schema)
+
+
+def _match_ids(model: ParserModel, tokens: Iterable, memo: dict[tuple[str, ...], int]) -> list[int]:
+    """Matched node id (-1: none) per token array, memoized on the tuple."""
+    out = []
+    for toks in map(tuple, tokens):
+        nid = memo.get(toks)
+        if nid is None:
+            nid = memo[toks] = model.match_tokens(toks)
+        out.append(nid)
+    return out
+
+
 def match_df(
     spark: SparkSession,
     df: DataFrame,
@@ -84,44 +112,21 @@ def match_df(
     absorb those as temporary templates first if desired).
     """
     cfg = cfg or ParserConfig()
-    pre = (
-        preprocess_df(df.select(id_col, col), col, cfg)
-        .withColumn("tok_key", F.concat_ws(_SEP, "tokens"))
-        .select(id_col, "tok_key")
-    )
-    uniq = pre.select("tok_key").distinct()
-    blob = model.to_json()
-    b_model = spark.sparkContext.broadcast(blob)
-    b_anc = spark.sparkContext.broadcast(_ancestor_map(model, threshold))
-    key = b_model._jbroadcast.id()  # pyspark exposes the id only via the JVM handle
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        m = _MODEL_CACHE.get(key)
-        if m is None:
-            m = ParserModel.from_json(b_model.value)
-            _MODEL_CACHE.clear()
-            _MODEL_CACHE[key] = m
-        anc = b_anc.value
+    def run(m: ParserModel, memo: dict, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        verdicts: dict[int, tuple[int, str]] = {-1: (-1, "")}
         for pdf in batches:
-            nids = []
-            for tk in pdf["tok_key"]:
-                nid = m.match_tokens(tuple(tk.split(_SEP)))
-                nids.append(anc.get(nid, nid))
-            yield pd.DataFrame({"tok_key": pdf["tok_key"], "template_id": nids})
+            nids = _match_ids(m, pdf["tokens"], memo)
+            for nid in set(nids).difference(verdicts):
+                tid = nid if threshold is None else m.ancestor_at(nid, threshold)
+                verdicts[nid] = (tid, m.nodes[tid].text())
+            out = pd.DataFrame([verdicts[nid] for nid in nids], columns=["template_id", "template"])
+            out.insert(0, id_col, pdf[id_col].to_numpy())
+            yield out
 
-    verdicts = uniq.mapInPandas(run, schema="tok_key string, template_id long")
-    out = pre.join(verdicts, on="tok_key", how="left").select(
-        F.col(id_col), F.col("template_id")
-    )
-    text_map = {nd.nid: nd.text() for nd in model.nodes}
-    b_text = spark.sparkContext.broadcast(text_map)
-
-    @F.pandas_udf("string")
-    def tmpl_text(nid: pd.Series) -> pd.Series:
-        tm = b_text.value
-        return nid.map(lambda x: tm.get(int(x), "")) if len(nid) else nid.astype(str)
-
-    return out.withColumn("template", tmpl_text(F.col("template_id")))
+    id_type = df.schema[id_col].dataType.simpleString()
+    schema = f"`{id_col}` {id_type}, template_id long, template string"
+    return _executor_pass(spark, df, model, cfg, col, [id_col], run, schema)
 
 
 def add_unmatched_df(
@@ -129,13 +134,21 @@ def add_unmatched_df(
     *, col: str = "message",
 ) -> int:
     """Absorb logs that match no template as temporary templates (§3).
-    Returns how many temporary templates were added."""
+    Returns how many temporary templates were added. Executors return
+    the distinct token arrays that matched nothing; the driver re-checks
+    each, in sorted order, against the growing model, because a temporary
+    template holding a literal ``*`` can absorb a later array."""
     cfg = cfg or ParserConfig()
-    pre = preprocess_df(df, col, cfg).withColumn("tok_key", F.concat_ws(_SEP, "tokens"))
-    uniq = [r["tok_key"] for r in pre.select("tok_key").distinct().collect()]
+
+    def run(m: ParserModel, memo: dict, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            _match_ids(m, pdf["tokens"], memo)
+        unmatched = [list(t) for t, nid in memo.items() if nid < 0]
+        yield pd.DataFrame({"tokens": pd.Series(unmatched, dtype=object)})
+
+    rows = _executor_pass(spark, df, model, cfg, col, [], run, "tokens array<string>").collect()
     added = 0
-    for tk in uniq:
-        toks = tuple(tk.split(_SEP))
+    for toks in sorted({tuple(r["tokens"]) for r in rows}):
         if model.match_tokens(toks) < 0:
             model.add_temp_template(toks)
             added += 1

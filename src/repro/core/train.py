@@ -120,13 +120,12 @@ def preprocess_df(df: DataFrame, col: str, cfg: ParserConfig) -> DataFrame:
 
 
 def group_key_col(cfg: ParserConfig):
-    """Initial-grouping key (§4.2): token count + hashed k-prefix."""
+    """Initial-grouping key (§4.2): token count + k-prefix tokens, the
+    same text as ``train_model_sequential``'s key (it seeds the group's
+    clustering RNG)."""
     key = F.col("n_tokens").cast("string")
     if cfg.prefix_k > 0:
-        prefix = F.transform(
-            F.slice("tokens", 1, cfg.prefix_k), lambda t: F.xxhash64(t).cast("string")
-        )
-        key = F.concat_ws("|", key, F.concat_ws("|", prefix))
+        key = F.concat_ws("|", key, F.concat_ws("|", F.slice("tokens", 1, cfg.prefix_k)))
     return key
 
 

@@ -5,8 +5,16 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import ParserConfig, match_df, match_sequential, train_model, train_model_sequential
+from repro.core import (
+    ParserConfig,
+    ParserModel,
+    match_df,
+    match_sequential,
+    train_model,
+    train_model_sequential,
+)
 from repro.core.match import add_unmatched_df
+from repro.core.tokenizer import preprocess_message
 from repro.core.train import preprocess_df
 from repro.logs import loghub_lite
 from repro.logs.corpus import to_spark
@@ -17,6 +25,32 @@ from repro.oracle import assert_equivalent
 def corpus(spark):
     pdf, bank = loghub_lite("HDFS")
     return to_spark(spark, pdf).cache(), pdf
+
+
+@pytest.fixture(scope="module")
+def repeated(spark):
+    """Mac-lite three times over (every log duplicated), cached in more
+    partitions than there are cores, with a model trained on its first
+    30%. A model trained on 30% of HDFS-lite matches every HDFS log;
+    on Mac 13 logs match nothing."""
+    pdf, _ = loghub_lite("Mac")
+    rep = pd.concat([pdf] * 3, ignore_index=True)
+    rep["log_id"] = range(len(rep))
+    parts = 3 * spark.sparkContext.defaultParallelism
+    df = spark.createDataFrame(rep).repartition(parts).cache()
+    df.count()
+    msgs = rep["message"].tolist()
+    return df, msgs, train_model_sequential(msgs[: int(0.3 * len(pdf))])
+
+
+def _plan_nodes(plan):
+    """Physical operator names, looking through adaptive execution."""
+    if plan.nodeName() == "AdaptiveSparkPlan":
+        plan = plan.executedPlan()
+    yield plan.nodeName()
+    children = plan.children()
+    for i in range(children.size()):
+        yield from _plan_nodes(children.apply(i))
 
 
 class TestPreprocessDF:
@@ -30,8 +64,6 @@ class TestPreprocessDF:
             .agg(F.count(F.lit(1)).alias("n"), F.countDistinct("tok_key").alias("uniq"))
         )
         # DuckDB reference over the pure-Python preprocessing.
-        from repro.core.tokenizer import preprocess_message
-
         rows = []
         for m in pdf["message"]:
             toks = preprocess_message(m)
@@ -52,15 +84,17 @@ class TestPreprocessDF:
 
 
 class TestTrainParity:
-    @pytest.mark.parametrize("dataset", ["HDFS", "Zookeeper"])
-    def test_spark_equals_sequential(self, spark, dataset):
+    @pytest.mark.parametrize(
+        "dataset, prefix_k",
+        [("HDFS", 0), ("Zookeeper", 0), ("HDFS", 1), ("Zookeeper", 1)],
+        ids=["HDFS", "Zookeeper", "HDFS-prefix_k=1", "Zookeeper-prefix_k=1"],
+    )
+    def test_spark_equals_sequential(self, spark, dataset, prefix_k):
         pdf, _ = loghub_lite(dataset)
-        cfg = ParserConfig()
+        cfg = ParserConfig(prefix_k=prefix_k)
         m_spark = train_model(spark, to_spark(spark, pdf), cfg=cfg)
         m_seq = train_model_sequential(pdf["message"].tolist(), cfg)
-        a = sorted((nd.text(), round(nd.saturation, 9), nd.n_logs) for nd in m_spark.nodes)
-        b = sorted((nd.text(), round(nd.saturation, 9), nd.n_logs) for nd in m_seq.nodes)
-        assert a == b
+        assert m_spark.to_json() == m_seq.to_json()
 
     @pytest.mark.parametrize("messages", [[], ["", "  ", " ,; "]], ids=["empty", "all-blank"])
     def test_no_tokens_gives_empty_model(self, spark, messages):
@@ -100,6 +134,56 @@ class TestMatchDF:
         cfg = ParserConfig()
         model = train_model(spark, df, cfg=cfg)
         out = match_df(spark, df, model, cfg)
+        assert out.filter(F.col("template_id") < 0).count() == 0
+
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    def test_repeated_logs_equal_sequential(self, spark, repeated, threshold):
+        df, msgs, model = repeated
+        out = match_df(spark, df, model, threshold=threshold).toPandas().sort_values("log_id")
+        seq = match_sequential(msgs, model, threshold=threshold, add_unmatched=False)
+        assert out["log_id"].tolist() == list(range(len(msgs)))
+        assert -1 in seq
+        assert out["template_id"].tolist() == seq
+        assert out["template"].tolist() == [model.nodes[i].text() if i >= 0 else "" for i in seq]
+
+    def test_one_stage_one_task_per_core(self, spark, repeated):
+        df, _, model = repeated
+        sc = spark.sparkContext
+        out = match_df(spark, df, model, threshold=0.8)
+        sc.setJobGroup("match-df-one-stage", "match_df stage and task count")
+        try:
+            out.write.format("noop").mode("overwrite").save()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        nodes = list(_plan_nodes(out._jdf.queryExecution().executedPlan()))
+        assert "MapInPandas" in nodes and not any("Exchange" in n for n in nodes)
+        tracker = sc.statusTracker()
+        stages = [
+            tracker.getStageInfo(st)
+            for job in tracker.getJobIdsForGroup("match-df-one-stage")
+            for st in tracker.getJobInfo(job).stageIds
+        ]
+        # The cached input's lineage is listed as a stage too, but skipped.
+        ran = [st for st in stages if st.numCompletedTasks + st.numFailedTasks > 0]
+        assert len(ran) == 1
+        assert ran[0].numCompletedTasks <= sc.defaultParallelism
+
+    def test_add_unmatched_df_absorbs_corpus(self, spark, repeated):
+        df, msgs, trained = repeated
+        model = ParserModel.from_json(trained.to_json())
+        # Driver-side reference: every distinct token array in sorted
+        # order, absorbed when the growing model does not match it.
+        ref = ParserModel.from_json(trained.to_json())
+        expected = 0
+        for toks in sorted({t for m in msgs if (t := tuple(preprocess_message(m)))}):
+            if ref.match_tokens(toks) < 0:
+                ref.add_temp_template(toks)
+                expected += 1
+        assert expected > 0
+        assert add_unmatched_df(spark, df, model) == expected
+        assert model.to_json() == ref.to_json()
+        assert add_unmatched_df(spark, df, model) == 0
+        out = match_df(spark, df, model)
         assert out.filter(F.col("template_id") < 0).count() == 0
 
     def test_add_unmatched_df(self, spark, corpus):
