@@ -40,21 +40,27 @@ def match_sequential(
     """Match each message; returns the node id per message (-1 only when
     ``add_unmatched`` is off and nothing matches)."""
     cfg = cfg or ParserConfig()
+    # Verdicts per raw message, then per token tuple: a repeated message
+    # skips preprocessing, a repeated token tuple the index.
+    seen: dict[str, int] = {}
     memo: dict[tuple[str, ...], int] = {}
     out: list[int] = []
     for msg in messages:
-        toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
-        nid = memo.get(toks)
+        nid = seen.get(msg)
         if nid is None:
-            if cfg.naive_match and model.train_assignment:
-                nid = model.train_assignment.get(_SEP.join(toks), -1)
-                if nid < 0:
+            toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
+            nid = memo.get(toks)
+            if nid is None:
+                if cfg.naive_match and model.train_assignment:
+                    nid = model.train_assignment.get(_SEP.join(toks), -1)
+                    if nid < 0:
+                        nid = model.match_tokens(toks)
+                else:
                     nid = model.match_tokens(toks)
-            else:
-                nid = model.match_tokens(toks)
-            if nid < 0 and add_unmatched and toks:
-                nid = model.add_temp_template(toks).nid
-            memo[toks] = nid
+                if nid < 0 and add_unmatched and toks:
+                    nid = model.add_temp_template(toks).nid
+                memo[toks] = nid
+            seen[msg] = nid
         out.append(nid)
     if threshold is not None:
         anc = {nid: model.ancestor_at(nid, threshold) for nid in set(out) if nid >= 0}

@@ -1,21 +1,27 @@
 """Tokenization (§4.1.1) and common-variable replacement (§4.1.2).
 
-The Listing-1 regular expression is kept in a form valid for both
-Python ``re`` and Java regex, so the exact same pattern drives the
-pure-Python path (``re.split``) and the Spark path (``F.split``) —
-the two paths produce identical token sequences (tested).
+The Listing-1 regular expression and the variable patterns are written
+without engine-dependent character classes or anchors, so the exact
+same pattern text drives the pure-Python path (``re``) and the Spark path
+(``F.split``/``regexp_replace``, Java regex) and the two paths produce
+identical tokens for every input string (tested).
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 #: Listing 1, with the sentence-period group made non-capturing (a
 #: capturing group would leak the delimiter into ``re.split`` output).
+#: ``[ \t\n\x0B\f\r]`` is Java's ``\s`` (Python's also matches Unicode
+#: spaces and ``\x1c``-``\x1f``) and ``(?![\s\S])`` the end of the input
+#: (Java's ``$`` also matches before a final U+0085, U+2028 or U+2029).
 TOKENIZE_PATTERN = (
-    r"(?:://)|(?:(?:[\s'\";=()\[\]{}?@&<>:\n\t\r,])|(?:[.](?:\s+|$))|(?:\\[\"']))+"
+    r"(?:://)|(?:(?:[ \t\n\x0B\f\r'\";=()\[\]{}?@&<>:,])"
+    r"|(?:[.](?:[ \t\n\x0B\f\r]+|(?![\s\S])))|(?:\\[\"']))+"
 )
 _TOKENIZE_RE = re.compile(TOKENIZE_PATTERN)
 
@@ -23,31 +29,48 @@ _TOKENIZE_RE = re.compile(TOKENIZE_PATTERN)
 #: preprocessing and template variable positions store it.
 WILDCARD = "*"
 
-#: Default common-variable patterns (§4.1.2): timestamps, IPs, MD5
-#: hashes, UUIDs, hex literals. Order matters — timestamps before bare
-#: dates/times, UUID before MD5 (both are hex runs).
-COMMON_VARIABLE_PATTERNS: tuple[str, ...] = (
-    r"\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}:\d{2}(?:[.,]\d+)?",  # ISO timestamp
-    r"\d{4}/\d{2}/\d{2} \d{2}:\d{2}:\d{2}",  # slash timestamp
-    r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}(?::\d{1,5})?",  # IPv4[:port]
-    r"\b[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}\b",  # UUID
-    r"\b[0-9a-f]{32}\b",  # MD5
-    r"\b0x[0-9a-fA-F]+\b",  # hex literal
+#: Default common variables (§4.1.2): timestamps, IPs, UUIDs, MD5
+#: hashes, hex literals, each a pattern and its guard. Order matters —
+#: timestamps before bare dates/times, UUID before MD5 (both are hex
+#: runs). A guard is a necessary condition for its pattern to match (a
+#: literal every match contains, or a length every match has), so the
+#: Python path skips a pattern whose guard fails. Replacements only
+#: insert ``*``, which never creates a guard's literal. ``[0-9]``, not
+#: ``\d``: Python's ``\d`` also matches non-ASCII digits, Java's does not.
+COMMON_VARIABLES: tuple[tuple[str, Callable[[str], bool]], ...] = (
+    (  # ISO timestamp
+        r"[0-9]{4}-[0-9]{2}-[0-9]{2}[ T][0-9]{2}:[0-9]{2}:[0-9]{2}(?:[.,][0-9]+)?",
+        lambda m: "-" in m and ":" in m,
+    ),
+    (  # slash timestamp
+        r"[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}",
+        lambda m: "/" in m and ":" in m,
+    ),
+    (  # IPv4[:port]
+        r"[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}(?::[0-9]{1,5})?",
+        lambda m: "." in m,
+    ),
+    (  # UUID
+        r"\b[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}\b",
+        lambda m: m.count("-") >= 4,
+    ),
+    (r"\b[0-9a-f]{32}\b", lambda m: len(m) >= 32),  # MD5
+    (r"\b0x[0-9a-fA-F]+\b", lambda m: "0x" in m),  # hex literal
 )
-_COMMON_VARIABLE_RES = [re.compile(p) for p in COMMON_VARIABLE_PATTERNS]
+_COMMON_VARIABLE_RES = [(re.compile(p), guard) for p, guard in COMMON_VARIABLES]
 
 
-def replace_variables(message: str, patterns: tuple[str, ...] | None = None) -> str:
+def replace_variables(message: str) -> str:
     """Rewrite known-variable substrings to the wildcard token."""
-    res = _COMMON_VARIABLE_RES if patterns is None else [re.compile(p) for p in patterns]
-    for r in res:
-        message = r.sub(WILDCARD, message)
+    for r, guard in _COMMON_VARIABLE_RES:
+        if guard(message):
+            message = r.sub(WILDCARD, message)
     return message
 
 
 def tokenize(message: str) -> list[str]:
     """Split one log record into tokens with the Listing-1 regex."""
-    return [t for t in _TOKENIZE_RE.split(message) if t]
+    return list(filter(None, _TOKENIZE_RE.split(message)))
 
 
 def preprocess_message(message: str, *, replace: bool = True) -> list[str]:
@@ -57,9 +80,9 @@ def preprocess_message(message: str, *, replace: bool = True) -> list[str]:
     return tokenize(message)
 
 
-def spark_replace_variables(col: Column, patterns: tuple[str, ...] | None = None) -> Column:
+def spark_replace_variables(col: Column) -> Column:
     """Catalyst chain of ``regexp_replace`` for the common variables."""
-    for p in patterns if patterns is not None else COMMON_VARIABLE_PATTERNS:
+    for p, _ in COMMON_VARIABLES:
         # Java regexp_replace treats the replacement as a template;
         # a literal "*" needs no escaping there.
         col = F.regexp_replace(col, p, WILDCARD)

@@ -1,8 +1,13 @@
 """Tokenization (§4.1.1) and common-variable replacement (§4.1.2)."""
+import random
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tokenizer import (
-    COMMON_VARIABLE_PATTERNS,
+    COMMON_VARIABLES,
     TOKENIZE_PATTERN,
     WILDCARD,
     preprocess_message,
@@ -86,14 +91,54 @@ class TestReplaceVariables:
         s = "service started on node alpha"
         assert replace_variables(s) == s
 
-    def test_custom_patterns(self):
-        assert replace_variables("user u123", (r"u\d+",)) == f"user {WILDCARD}"
-
     def test_all_defaults_compile(self):
-        import re
-
-        for p in COMMON_VARIABLE_PATTERNS:
+        for p, _ in COMMON_VARIABLES:
             re.compile(p)
+
+
+def _unguarded(message: str) -> str:
+    """``replace_variables`` without the guards: every pattern runs."""
+    for p, _ in COMMON_VARIABLES:
+        message = re.sub(p, WILDCARD, message)
+    return message
+
+
+#: Concatenations of single characters the patterns are made of and of
+#: whole pattern matches, so that matches overlap, abut and nest.
+_VARIABLE_HEAVY = st.lists(
+    st.one_of(
+        st.sampled_from("0123456789abcdefx-:./ T"),
+        st.characters(),
+        *(st.from_regex(p, fullmatch=True) for p, _ in COMMON_VARIABLES),
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestGuards:
+    """Each pattern's guard is a necessary condition, so skipping a
+    pattern whose guard fails never changes the output."""
+
+    @pytest.mark.parametrize("pattern,guard", COMMON_VARIABLES, ids=[p for p, _ in COMMON_VARIABLES])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_guard_holds_on_every_match(self, pattern, guard, data):
+        m = data.draw(st.from_regex(pattern))
+        assert re.search(pattern, m)
+        assert guard(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VARIABLE_HEAVY)
+    def test_guarded_equals_unguarded(self, m):
+        assert replace_variables(m) == _unguarded(m)
+
+    def test_guarded_equals_unguarded_on_corpora(self):
+        from repro.logs import loghub_lite
+        from repro.logs.corpus import LOGHUB
+
+        for name in LOGHUB:
+            for m in loghub_lite(name)[0]["message"]:
+                assert replace_variables(m) == _unguarded(m), (name, m)
 
 
 class TestPreprocess:
@@ -108,6 +153,48 @@ class TestPreprocess:
         assert toks == ["from", "10.0.3.44", "closed"]
 
 
+#: Characters on which Python and Java regex classes and anchors differ
+#: unless the pattern text avoids them: controls (Python's ``\s`` has
+#: ``\x1c``-``\x1f``), Unicode spaces, line terminators (Java's ``$``),
+#: non-ASCII digits (Python's ``\d``), a non-ASCII letter (``\b``), and
+#: the hex, timestamp and delimiter characters the patterns are made of.
+_PARITY_ALPHABET = (
+    "\x00\x01\x1c\x1d\x1e\x1f\x7f"
+    "\xa0\u1680\u2003\u3000\u200b"
+    "\n\r\x0b\x0c\x85\u2028\u2029"
+    "0123456789\u0660\u0661\u0665\uff10"
+    "abcdefABCDEFxTé"
+    " -:./,;=()[]{}?@&<>'\"\\_"
+)
+_PARITY_FRAGMENTS = (
+    "2024-07-01 12:30:45.123",
+    "2024/07/01 12:30:45",
+    "10.0.3.44:8080",
+    "123e4567-e89b-42d3-a456-426614174000",
+    "a1" * 16,
+    "0xDEADbeef",
+    "done. ",
+)
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _parity_messages(n: int, seed: int = 0) -> list[str]:
+    """Seeded random strings over ``_PARITY_ALPHABET``, with pattern
+    matches (some in Arabic-Indic digits) mixed in."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.2:
+                frag = rng.choice(_PARITY_FRAGMENTS)
+                parts.append(frag.translate(_ARABIC_INDIC) if rng.random() < 0.3 else frag)
+            else:
+                parts.append("".join(rng.choices(_PARITY_ALPHABET, k=rng.randint(1, 4))))
+        out.append("".join(parts))
+    return out
+
+
 class TestSparkParity:
     """The exact same pattern must behave identically under Java regex."""
 
@@ -119,7 +206,20 @@ class TestSparkParity:
             'say "hello" now; path /var/log/x.log {a} [b] <c>',
             "http://example.com/x?y=1&z=2",
             "trailing period. and, commas",
-        ]
+            # Strings on which Python's \s, \d and $ differ from Java's.
+            "a\x1fb c",
+            "a\xa0b c",
+            "a\u2003b c",
+            "ip ١٢٣.١.١.١ end",
+            "at ٢٠٢٤-٠٧-٠١ ١٢:٣٠:٤٥ and ٢٠٢٤/٠٧/٠١ ١٢:٣٠:٤٥ end",
+            "end.\u2028",
+            "end.\u2029",
+            "end.\x85",
+            "end.\n",
+            "a.\x0bb.\x0cc",
+            # \b: both engines treat é as a word character.
+            "é0x1f end",
+        ] + _parity_messages(3000)
 
     def test_tokenize_parity(self, spark, messages):
         import pandas as pd
@@ -128,10 +228,9 @@ class TestSparkParity:
         from repro.core.tokenizer import spark_replace_variables, spark_tokenize
 
         df = spark.createDataFrame(pd.DataFrame({"m": messages}))
-        got = (
-            df.select(spark_tokenize(spark_replace_variables(F.col("m"))).alias("t"))
-            .toPandas()["t"]
-            .tolist()
-        )
-        want = [preprocess_message(m) for m in messages]
-        assert [list(x) for x in got] == want
+        got = df.select(
+            spark_tokenize(spark_replace_variables(F.col("m"))).alias("pre"),
+            spark_tokenize(F.col("m")).alias("tok"),
+        ).toPandas()
+        assert [list(x) for x in got["pre"]] == [preprocess_message(m) for m in messages]
+        assert [list(x) for x in got["tok"]] == [tokenize(m) for m in messages]

@@ -1,10 +1,12 @@
 """End-to-end sequential pipeline: train, match, query, ablations."""
+import copy
 import inspect
 from collections import Counter
 
 import pytest
 
 import repro.core.cluster as cluster
+import repro.core.match as match
 import repro.core.saturation as saturation
 import repro.core.train as train
 from repro.core import ParserConfig, match_sequential, train_model_sequential
@@ -141,8 +143,8 @@ class TestDedupAblation:
 
 
 class TestComputeOnce:
-    """Training preprocesses each distinct message once and evaluates
-    each tree node once."""
+    """Training and matching preprocess each distinct message once, and
+    training evaluates each tree node once."""
 
     @pytest.mark.parametrize("dedup", [True, False])
     def test_preprocess_once_per_message(self, monkeypatch, dedup):
@@ -159,6 +161,36 @@ class TestComputeOnce:
         # With dedup once per distinct raw message; without (the §5.4.3
         # ablation) once per message.
         assert Counter(seen) == Counter(set(msgs) if dedup else msgs)
+
+    def test_match_preprocesses_once_per_message(self, monkeypatch):
+        msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+        model = train_model_sequential(msgs[:200])
+        batch = msgs[200:600]
+        assert len(set(batch)) < len(batch)
+        seen = []
+        real = match.preprocess_message
+
+        def counted(msg, **kwargs):
+            seen.append(msg)
+            return real(msg, **kwargs)
+
+        monkeypatch.setattr(match, "preprocess_message", counted)
+        match_sequential(batch, model)
+        assert Counter(seen) == Counter(set(batch))
+
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    @pytest.mark.parametrize("naive_match", [False, True])
+    def test_match_memo_keeps_ids(self, threshold, naive_match):
+        """A batch with repeated and unmatched messages gets the ids its
+        messages get when matched one call each, in order."""
+        msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+        cfg = ParserConfig(naive_match=naive_match)
+        model = train_model_sequential(msgs[:200], cfg)
+        batch = msgs[200:600]
+        alone = copy.deepcopy(model)
+        want = [match_sequential([m], alone, cfg, threshold=threshold)[0] for m in batch]
+        assert match_sequential(batch, model, cfg, threshold=threshold) == want
+        assert len(model.nodes) == len(alone.nodes)
 
     # Mac: a split whose injected one-log cluster overlaps a sibling, so
     # that log forms two tree nodes; Android: a cluster scored by the
