@@ -37,8 +37,16 @@ import numpy as np
 from repro.core.config import ClusterConfig
 from repro.core.distance import similarity_matrix_codes
 from repro.core.saturation import node_stats, resolved_masks, saturation
+from repro.core.tokenizer import WILDCARD
 
 _EPS = 1e-12
+#: a node at or above this saturation is not split further.
+SAT_TARGET = 1.0 - 1e-9
+#: reassignment rounds of one single clustering process.
+MAX_ITERS = 12
+#: cap on the clusters of one split (a safety bound; the paper's bound is
+#: the number of token positions).
+MAX_CLUSTERS = 64
 
 Stats = tuple[np.ndarray, np.ndarray, float]
 Masks = tuple[np.ndarray, np.ndarray]
@@ -80,12 +88,7 @@ def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.nd
 
 
 def _early_split(
-    codes: np.ndarray,
-    rows: np.ndarray,
-    counts: np.ndarray,
-    cfg: ClusterConfig,
-    stats: Stats | None = None,
-    masks: Masks | None = None,
+    codes: np.ndarray, rows: np.ndarray, stats: Stats, masks: Masks
 ) -> list[np.ndarray] | None:
     """§4.7 early stops, on node-relative indices. Returns a partition
     (list of relative row-index arrays) or None when the full clustering
@@ -93,10 +96,6 @@ def _early_split(
     n = len(rows)
     if n == 2:
         return [np.array([0]), np.array([1])]
-    if stats is None:
-        stats = node_stats(codes[rows], counts[rows])
-    if masks is None:
-        masks = resolved_masks(codes[rows], cfg, counts[rows], stats)
     nu = stats[0]
     const, var = masks
     unresolved = np.flatnonzero(~(const | var))
@@ -124,29 +123,26 @@ def split_node(
     parent_sat: float,
     cfg: ClusterConfig,
     rng: np.random.Generator,
-    stats: Stats | None = None,
-    masks: Masks | None = None,
-    evaluated: dict[bytes, NodeEval] | None = None,
+    stats: Stats,
+    masks: Masks,
+    evaluated: dict[bytes, NodeEval],
 ) -> list[np.ndarray] | None:
     """One single clustering process on ``rows`` of the node.
 
     ``stats`` and ``masks`` are the node's ``node_stats`` and
-    ``resolved_masks`` when the caller already has them. ``evaluated``
-    maps ``rows.tobytes()`` of a row set to its ``_evaluate`` result: the
-    ensure-saturation-increase check reads every converged multi-log
-    cluster from it, or scores the cluster and adds it. Returns the
-    partition as absolute row-index arrays, or None when the node cannot
-    (or need not) be split further.
+    ``resolved_masks``. ``evaluated`` maps ``rows.tobytes()`` of a row
+    set to its ``_evaluate`` result: the ensure-saturation-increase check
+    reads every converged multi-log cluster from it, or scores the
+    cluster and adds it. Returns the partition as absolute row-index
+    arrays, or None when the node cannot (or need not) be split further.
     """
     n = len(rows)
     if n <= 1:
         return None
     if cfg.early_stop:
-        early = _early_split(codes, rows, counts, cfg, stats, masks)
+        early = _early_split(codes, rows, stats, masks)
         if early is not None:
             return [rows[c] for c in early] if len(early) > 1 else None
-    if evaluated is None:
-        evaluated = {}
 
     def cluster_sat(c: np.ndarray) -> float:
         key = rows[c].tobytes()
@@ -172,11 +168,11 @@ def split_node(
 
     prev_assign: np.ndarray | None = None
     sims = sims_for(clusters)
-    for _ in range(max(1, cfg.max_iters)):
+    for _ in range(MAX_ITERS):
         assign = _assign(sims, rng, cfg.balanced)
         clusters = [c for j in range(sims.shape[1]) if len(c := np.flatnonzero(assign == j))]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
-            if not cfg.ensure_sat_increase or len(clusters) >= min(n, cfg.max_clusters):
+            if not cfg.ensure_sat_increase or len(clusters) >= min(n, MAX_CLUSTERS):
                 break
             # Converged: inject a new cluster if some multi-log cluster
             # failed to improve on the parent's saturation (§4.4).
@@ -219,7 +215,6 @@ def build_tree(
     texts: list[tuple[str, ...]],
     cfg: ClusterConfig,
     rng: np.random.Generator,
-    wildcard: str = "*",
 ) -> list[TreeRow]:
     """Hierarchically cluster one initial group into a template tree.
 
@@ -248,7 +243,7 @@ def build_tree(
                 idx=idx,
                 parent=parent,
                 template=tuple(
-                    first[i] if nu[i] == 1 else wildcard for i in range(len(nu))
+                    first[i] if nu[i] == 1 else WILDCARD for i in range(len(nu))
                 ),
                 saturation=float(sat),
                 n_logs=int(counts[rows].sum()),
@@ -257,12 +252,9 @@ def build_tree(
                 rows=rows,
             )
         )
-        if sat >= cfg.sat_target or len(rows) <= 1:
+        if sat >= SAT_TARGET or len(rows) <= 1:
             continue
-        children = split_node(
-            codes, vocab, counts, rows, sat, cfg, rng,
-            stats=stats, masks=masks, evaluated=evaluated,
-        )
+        children = split_node(codes, vocab, counts, rows, sat, cfg, rng, stats, masks, evaluated)
         if children is None:
             continue
         for child in children:

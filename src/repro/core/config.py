@@ -1,5 +1,15 @@
 """Configuration for training, clustering and matching.
 
+A setting exists only where the paper, or a deployment, needs more
+than one value: the query-time saturation threshold (§3 Query), the
+k-token prefix of initial grouping (§4.2), the memory bound of the
+sampling guard, and the §5.4 ablation switches. Everything else is a
+constant next to the function that reads it: the constant-position
+weight in ``distance``, the likely-variable bounds in ``saturation``,
+the saturation target and split caps in ``cluster``, and the group
+seed in ``train`` (DESIGN.md §2, §4). Common-variable replacement
+(§4.1.2) always runs.
+
 Every §5.4 ablation variant in the paper maps to one flag here:
 
 =============================  =========================================
@@ -13,8 +23,7 @@ random centroid selection      ``ClusterConfig.kmeanspp=False``
 w/o ensure saturation increase ``ClusterConfig.ensure_sat_increase=False``
 w/o balanced group             ``ClusterConfig.balanced=False``
 w/o early stopping             ``ClusterConfig.early_stop=False``
-w/o deduplication & related    ``ParserConfig.dedup=False`` (also turns
-                               off balanced grouping and early stopping)
+w/o deduplication              ``ParserConfig.dedup=False``
 =============================  =========================================
 """
 from __future__ import annotations
@@ -24,32 +33,13 @@ from dataclasses import dataclass, field, replace
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for the hierarchical clustering kernel (§4.3–§4.7)."""
+    """The §5.4 ablation switches of the clustering kernel (§4.3–§4.7);
+    every flag is on in the paper's method."""
 
     #: weight positions by 1/(n_i - 1) in Eq. 2 (w_i = 1 when off).
     position_importance: bool = True
-    #: weight for fully-constant positions, whose paper weight 1/(n_i-1)
-    #: is infinite (DESIGN.md §4 deviation).
-    const_weight: float = 2.0
     #: count high-variability positions as resolved variables in Eq. 3.
     variable_credit: bool = True
-    #: uniformity bound for the likely-variable test: a non-constant
-    #: position with >=3 distinct tokens is a resolved variable when its
-    #: most frequent token covers at most ``uniformity * n / n_u`` logs,
-    #: i.e. the value distribution looks like an independent variable
-    #: rather than a skewed template mixture (the paper's Set-2
-    #: "structural correlation" argument, DESIGN.md §4).
-    variable_uniformity: float = 3.0
-    #: absolute cap on the top value's share for the likely-variable
-    #: test (the relative bound is vacuous when n_u <= uniformity): a
-    #: position dominated by one value is a skewed enum/mixture, not a
-    #: free variable, and should keep driving splits (Table 4 pinning).
-    variable_max_share: float = 0.5
-    #: independence bound for the likely-variable test: two candidate
-    #: positions must produce at least ``independence * min(n_unique,
-    #: n_i * n_j)`` distinct value pairs, otherwise they are structurally
-    #: correlated (a template mixture) and neither is credited.
-    variable_independence: float = 0.6
     #: apply the paper's confidence factor p_c in Eq. 3.
     confidence_factor: bool = True
     #: K-Means++-style initial/new centroid selection (farthest log).
@@ -60,15 +50,6 @@ class ClusterConfig:
     balanced: bool = True
     #: §4.7 early-stop shortcuts.
     early_stop: bool = True
-    #: stop refining a node once its saturation reaches this value.
-    sat_target: float = 1.0 - 1e-9
-    #: max refinement iterations inside one single-clustering process.
-    max_iters: int = 12
-    #: hard cap on clusters created by one split (safety bound; the
-    #: paper's bound is the number of token positions).
-    max_clusters: int = 64
-    #: RNG seed (combined with the group key for per-group streams).
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,10 +61,9 @@ class ParserConfig:
     prefix_k: int = 0
     #: deduplicate identical token sequences before clustering (§4.1.3).
     dedup: bool = True
-    #: apply the built-in common-variable regexes (§4.1.2).
-    replace_variables: bool = True
     #: assign training logs the template of the tree node they landed in
-    #: instead of re-matching against template texts ("w/ naive match").
+    #: instead of re-matching against template texts ("w/ naive match");
+    #: sequential path only (``train_model`` rejects it).
     naive_match: bool = False
     #: default query-time saturation threshold (§5.5.1 sweeps this; 0.8
     #: sits on the stable plateau of our sensitivity sweep).

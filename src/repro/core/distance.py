@@ -7,7 +7,7 @@ Its value grows with similarity, and the paper assigns each log to the
 cluster of "smallest distance (i.e., the highest positional
 similarity)" — we therefore treat Eq. 2 as a similarity and assign to
 the argmax (DESIGN.md §4). Constant positions (``n_i = 1``) get the
-finite cap ``cfg.const_weight`` instead of the paper's infinite weight.
+finite cap ``CONST_WEIGHT`` instead of the paper's infinite weight.
 
 The clustering kernel works on per-column factorized codes; a
 per-position reference over raw hash matrices lives with the tests,
@@ -18,6 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ClusterConfig
+
+#: weight of a fully-constant position, whose paper weight 1/(n_i - 1) is
+#: infinite (DESIGN.md §4, ``W_CONST``).
+CONST_WEIGHT = 2.0
 
 
 def similarity_matrix_codes(
@@ -51,7 +55,7 @@ def similarity_matrix_codes(
         )
         if cfg.position_importance:
             n_i = np.add.reduceat(per_val > 0, off)
-            weights = np.where(n_i <= 1, cfg.const_weight, 1.0 / np.maximum(n_i - 1, 1))
+            weights = np.where(n_i <= 1, CONST_WEIGHT, 1.0 / np.maximum(n_i - 1, 1))
         else:
             weights = np.ones(m)
         acc = np.cumsum(per_val[codes_off] * weights, axis=1)[:, -1]

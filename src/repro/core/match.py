@@ -48,7 +48,7 @@ def match_sequential(
     for msg in messages:
         nid = seen.get(msg)
         if nid is None:
-            toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
+            toks = tuple(preprocess_message(msg))
             nid = memo.get(toks)
             if nid is None:
                 if cfg.naive_match and model.train_assignment:
@@ -69,7 +69,7 @@ def match_sequential(
 
 
 def _executor_pass(
-    spark: SparkSession, df: DataFrame, model: ParserModel, cfg: ParserConfig,
+    spark: SparkSession, df: DataFrame, model: ParserModel,
     col: str, keep: list[str], run: Callable, schema: str,
 ) -> DataFrame:
     """``run(executor_model, memo, batches)`` as one ``mapInPandas`` over
@@ -86,7 +86,7 @@ def _executor_pass(
             _MODEL_CACHE[key] = m
         return run(m, {}, batches)
 
-    pre = preprocess_df(df.select(*keep, col), col, cfg).select(*keep, "tokens")
+    pre = preprocess_df(df.select(*keep, col), col).select(*keep, "tokens")
     return pre.coalesce(spark.sparkContext.defaultParallelism).mapInPandas(task, schema=schema)
 
 
@@ -105,7 +105,6 @@ def match_df(
     spark: SparkSession,
     df: DataFrame,
     model: ParserModel,
-    cfg: ParserConfig | None = None,
     *,
     col: str = "message",
     id_col: str = "log_id",
@@ -117,7 +116,6 @@ def match_df(
     matched node id (-1 for unmatched — call ``add_unmatched_df`` to
     absorb those as temporary templates first if desired).
     """
-    cfg = cfg or ParserConfig()
 
     def run(m: ParserModel, memo: dict, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         verdicts: dict[int, tuple[int, str]] = {-1: (-1, "")}
@@ -132,19 +130,17 @@ def match_df(
 
     id_type = df.schema[id_col].dataType.simpleString()
     schema = f"`{id_col}` {id_type}, template_id long, template string"
-    return _executor_pass(spark, df, model, cfg, col, [id_col], run, schema)
+    return _executor_pass(spark, df, model, col, [id_col], run, schema)
 
 
 def add_unmatched_df(
-    spark: SparkSession, df: DataFrame, model: ParserModel, cfg: ParserConfig | None = None,
-    *, col: str = "message",
+    spark: SparkSession, df: DataFrame, model: ParserModel, *, col: str = "message"
 ) -> int:
     """Absorb logs that match no template as temporary templates (§3).
     Returns how many temporary templates were added. Executors return
     the distinct token arrays that matched nothing; the driver re-checks
     each, in sorted order, against the growing model, because a temporary
     template holding a literal ``*`` can absorb a later array."""
-    cfg = cfg or ParserConfig()
 
     def run(m: ParserModel, memo: dict, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
@@ -152,7 +148,7 @@ def add_unmatched_df(
         unmatched = [list(t) for t, nid in memo.items() if nid < 0]
         yield pd.DataFrame({"tokens": pd.Series(unmatched, dtype=object)})
 
-    rows = _executor_pass(spark, df, model, cfg, col, [], run, "tokens array<string>").collect()
+    rows = _executor_pass(spark, df, model, col, [], run, "tokens array<string>").collect()
     added = 0
     for toks in sorted({tuple(r["tokens"]) for r in rows}):
         if model.match_tokens(toks) < 0:

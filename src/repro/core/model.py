@@ -127,12 +127,12 @@ class ParserModel:
         self._buckets = None
         return node
 
-    def add_temp_template(self, tokens: tuple[str, ...], group_key: str = "temp") -> TemplateNode:
+    def add_temp_template(self, tokens: tuple[str, ...]) -> TemplateNode:
         """Insert an unmatched log as a temporary singleton template
         (§3, online matching) so subsequent logs of its kind match."""
         return self.add_node(
             parent=-1, template=tuple(tokens), saturation=1.0,
-            n_logs=1, depth=0, group_key=group_key,
+            n_logs=1, depth=0, group_key="temp",
         )
 
     # -- matching (§4.8) ----------------------------------------------

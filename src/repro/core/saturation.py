@@ -40,6 +40,18 @@ _PAIR_MIX = np.int64(-0x61C8864680B583EB)  # 0x9E3779B97F4A7C15 as signed
 #: pair-key elements sorted at once by ``_independent`` (4 MiB of int64)
 _PAIR_CHUNK = 1 << 19
 
+# Bounds of the likely-variable test in ``resolved_masks`` (DESIGN.md §4).
+#: a candidate's top value covers at most ``VARIABLE_UNIFORMITY * n / n_u``
+#: logs: near-uniform like a free variable, not a Zipf-skewed mixture.
+VARIABLE_UNIFORMITY = 3.0
+#: ... and at most this share of the node (the relative bound is vacuous
+#: when n_u <= VARIABLE_UNIFORMITY): a dominated position is an enum.
+VARIABLE_MAX_SHARE = 0.5
+#: two candidates must form at least ``VARIABLE_INDEPENDENCE *
+#: min(n_unique, n_i * n_j)`` distinct value pairs, else they are
+#: structurally correlated (a template mixture) and neither is credited.
+VARIABLE_INDEPENDENCE = 0.6
+
 
 def node_stats(
     mat: np.ndarray, counts: np.ndarray | None = None
@@ -111,15 +123,15 @@ def resolved_masks(
     if not cfg.variable_credit or n_w <= 1:
         return const, np.zeros(m, dtype=bool)
     bound = np.minimum(
-        np.ceil(cfg.variable_uniformity * n_w / np.maximum(nu, 1)),
-        np.maximum(1.0, cfg.variable_max_share * n_w),
+        np.ceil(VARIABLE_UNIFORMITY * n_w / np.maximum(nu, 1)),
+        np.maximum(1.0, VARIABLE_MAX_SHARE * n_w),
     )
     # A binary position is indistinguishable from a two-template
     # mixture by these statistics, hence the >=3 floor.
     cand = np.flatnonzero((~const) & (nu >= 3) & (topc <= bound))
     var = np.zeros(m, dtype=bool)
     if len(cand):
-        var[cand[_independent(mat, nu, cand, cfg.variable_independence)]] = True
+        var[cand[_independent(mat, nu, cand, VARIABLE_INDEPENDENCE)]] = True
     return const, var
 
 

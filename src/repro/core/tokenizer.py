@@ -73,11 +73,9 @@ def tokenize(message: str) -> list[str]:
     return list(filter(None, _TOKENIZE_RE.split(message)))
 
 
-def preprocess_message(message: str, *, replace: bool = True) -> list[str]:
+def preprocess_message(message: str) -> list[str]:
     """Python-path preprocessing: variable replacement then tokenization."""
-    if replace:
-        message = replace_variables(message)
-    return tokenize(message)
+    return tokenize(replace_variables(message))
 
 
 def spark_replace_variables(col: Column) -> Column:

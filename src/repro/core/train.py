@@ -24,12 +24,7 @@ from pyspark.sql import functions as F
 from repro.core.cluster import TreeRow, build_tree
 from repro.core.config import ParserConfig
 from repro.core.model import ParserModel, hash_tokens, _SEP
-from repro.core.tokenizer import (
-    WILDCARD,
-    preprocess_message,
-    spark_replace_variables,
-    spark_tokenize,
-)
+from repro.core.tokenizer import preprocess_message, spark_replace_variables, spark_tokenize
 
 _TREE_SCHEMA = (
     "group_key string, idx long, parent long, template string, "
@@ -37,8 +32,9 @@ _TREE_SCHEMA = (
 )
 
 
-def _group_seed(group_key: str, seed: int) -> int:
-    return (zlib.crc32(group_key.encode()) ^ (seed * 0x9E3779B1)) & 0x7FFFFFFF
+def _group_seed(group_key: str) -> int:
+    """Seed of one group's clustering RNG: the same on both paths."""
+    return zlib.crc32(group_key.encode()) & 0x7FFFFFFF
 
 
 def _canonicalize(mat, counts, texts, cfg: ParserConfig):
@@ -70,8 +66,8 @@ def _cluster_group(
     """Cluster one initial group; returns its tree rows and the
     canonically ordered texts their ``rows`` index into."""
     mat, counts, texts = _canonicalize(mat, counts, texts, cfg)
-    rng = np.random.default_rng(_group_seed(group_key, cfg.cluster.seed))
-    return build_tree(mat, counts, texts, cfg.cluster, rng, wildcard=WILDCARD), texts
+    rng = np.random.default_rng(_group_seed(group_key))
+    return build_tree(mat, counts, texts, cfg.cluster, rng), texts
 
 
 def _tree_frame(group_key: str, rows: list[TreeRow]) -> pd.DataFrame:
@@ -110,12 +106,9 @@ def _assemble(model: ParserModel, tree_rows: pd.DataFrame) -> ParserModel:
     return model
 
 
-def preprocess_df(df: DataFrame, col: str, cfg: ParserConfig) -> DataFrame:
+def preprocess_df(df: DataFrame, col: str) -> DataFrame:
     """Catalyst preprocessing: variable replacement + tokenization."""
-    msg = F.col(col)
-    if cfg.replace_variables:
-        msg = spark_replace_variables(msg)
-    out = df.withColumn("tokens", spark_tokenize(msg))
+    out = df.withColumn("tokens", spark_tokenize(spark_replace_variables(F.col(col))))
     return out.withColumn("n_tokens", F.size("tokens")).filter(F.col("n_tokens") > 0)
 
 
@@ -132,9 +125,13 @@ def group_key_col(cfg: ParserConfig):
 def train_model(
     spark: SparkSession, df: DataFrame, *, col: str = "message", cfg: ParserConfig | None = None
 ) -> ParserModel:
-    """Spark offline training: returns the template-tree model."""
+    """Spark offline training: returns the template-tree model. The
+    "w/ naive match" ablation needs the training assignment, which only
+    ``train_model_sequential`` records."""
     cfg = cfg or ParserConfig()
-    pre = preprocess_df(df, col, cfg)
+    if cfg.naive_match:
+        raise ValueError("naive_match is a sequential-path ablation: use train_model_sequential")
+    pre = preprocess_df(df, col)
     if cfg.dedup:
         uniq = pre.groupBy("tokens", "n_tokens").agg(F.count(F.lit(1)).alias("cnt"))
     else:
@@ -169,7 +166,7 @@ def train_model_sequential(
         # replaced variable share one).
         counts_by_tokens: dict[tuple[str, ...], int] = {}
         for msg, cnt in Counter(messages).items():
-            toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
+            toks = tuple(preprocess_message(msg))
             if toks:
                 counts_by_tokens[toks] = counts_by_tokens.get(toks, 0) + cnt
         entries = counts_by_tokens.items()
@@ -179,7 +176,7 @@ def train_model_sequential(
         entries = [
             (toks, 1)
             for msg in messages
-            if (toks := tuple(preprocess_message(msg, replace=cfg.replace_variables)))
+            if (toks := tuple(preprocess_message(msg)))
         ]
     # One blake2b hash per distinct token of the call.
     vocab = list({t for toks, _ in entries for t in toks})

@@ -56,7 +56,7 @@ def run_bytebrain_spark(
     n = df.count()  # materialize input before the clock starts
     t0 = time.perf_counter()
     model = train_model(spark, df, cfg=cfg)
-    matched = match_df(spark, df, model, cfg, threshold=cfg.query_threshold).cache()
+    matched = match_df(spark, df, model, threshold=cfg.query_threshold).cache()
     matched.count()
     dt = time.perf_counter() - t0
     joined = matched.join(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ClusterConfig
+from repro.core.distance import CONST_WEIGHT
 from repro.core.saturation import _PAIR_MIX
 
 
@@ -66,7 +67,7 @@ def cluster_similarity(
         per_val = np.bincount(inv, weights=w_cnt)
         n_i = len(vals)
         if cfg.position_importance:
-            weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
+            weights[i] = CONST_WEIGHT if n_i <= 1 else 1.0 / (n_i - 1)
         else:
             weights[i] = 1.0
         # f_i(L, C): frequency of L's token at position i within C.
@@ -109,7 +110,7 @@ def similarity_matrix_codes_reference(
             per_val = np.bincount(sub[:, i], weights=w_cnt, minlength=int(vocab[i]))
             n_i = int(np.count_nonzero(per_val))
             if cfg.position_importance:
-                weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
+                weights[i] = CONST_WEIGHT if n_i <= 1 else 1.0 / (n_i - 1)
             else:
                 weights[i] = 1.0
             acc += weights[i] * per_val[codes[:, i]]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cluster import build_tree, factorize, split_node
+from repro.core.cluster import _evaluate, build_tree, factorize, split_node
 from repro.core.config import ClusterConfig
 from repro.core.model import hash_tokens
 
@@ -21,6 +21,15 @@ def tree_of(rows, cfg=CFG, counts=None, seed=0):
     return build_tree(mat, cnt, texts, cfg, np.random.default_rng(seed))
 
 
+def split_root(codes, vocab, cnt, parent_sat):
+    """``split_node`` on every row, with the statistics ``build_tree``
+    would hand it."""
+    rows = np.arange(len(codes))
+    stats, masks = _evaluate(codes, rows, cnt, CFG)[:2]
+    rng = np.random.default_rng(0)
+    return split_node(codes, vocab, cnt, rows, parent_sat, CFG, rng, stats, masks, {})
+
+
 SET2 = [
     "UserService createUser token abc123 success".split(),
     "UserService deleteUser token xyz789 failed".split(),
@@ -32,7 +41,7 @@ class TestEarlyStops:
     def test_two_logs_split_to_singletons(self):
         mat, cnt, _ = prep(SET2[:2])
         codes, vocab = factorize(mat)
-        children = split_node(codes, vocab, cnt, np.arange(2), 0.1, CFG, np.random.default_rng(0))
+        children = split_root(codes, vocab, cnt, 0.1)
         assert sorted(len(c) for c in children) == [1, 1]
 
     def test_single_unresolved_position_direct_split(self):
@@ -41,14 +50,14 @@ class TestEarlyStops:
         rows = [["a", "x", "c"]] * 5 + [["a", "y", "c"], ["a", "z", "c"]]
         mat, cnt, _ = prep(rows)
         codes, vocab = factorize(mat)
-        children = split_node(codes, vocab, cnt, np.arange(7), 0.1, CFG, np.random.default_rng(0))
+        children = split_root(codes, vocab, cnt, 0.1)
         # Split directly by the 3 distinct values at position 1.
         assert sorted(len(c) for c in children) == [1, 1, 5]
 
     def test_singleton_not_split(self):
         mat, cnt, _ = prep(SET2[:1])
         codes, vocab = factorize(mat)
-        assert split_node(codes, vocab, cnt, np.arange(1), 0.0, CFG, np.random.default_rng(0)) is None
+        assert split_root(codes, vocab, cnt, 0.0) is None
 
 
 class TestTreeInvariants:

@@ -70,12 +70,11 @@ def test_node_stats_equals_reference_on_codes(case):
     node_matrices(),
     st.integers(1, 4),
     st.booleans(),
-    st.sampled_from([1.0, 5.0, 1e6]),
     st.randoms(use_true_random=False),
 )
-def test_similarity_matrix_codes_equals_reference(case, k, importance, const_weight, rnd):
+def test_similarity_matrix_codes_equals_reference(case, k, importance, rnd):
     mat, counts, rows = case
-    cfg = ClusterConfig(position_importance=importance, const_weight=const_weight)
+    cfg = ClusterConfig(position_importance=importance)
     codes, vocab = factorize(mat)
     sub, cnt = codes[rows], counts[rows]
     # k clusters over the node's relative rows; empty ones are dropped,

@@ -56,8 +56,7 @@ def _plan_nodes(plan):
 class TestPreprocessDF:
     def test_dedup_counts_against_duckdb(self, spark, corpus):
         df, pdf = corpus
-        cfg = ParserConfig()
-        pre = preprocess_df(df, "message", cfg)
+        pre = preprocess_df(df, "message")
         agg = (
             pre.withColumn("tok_key", F.concat_ws("␟", "tokens"))
             .groupBy("n_tokens")
@@ -79,19 +78,30 @@ class TestPreprocessDF:
 
     def test_empty_token_rows_dropped(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"message": ["a b", " ,; "]}))
-        pre = preprocess_df(df, "message", ParserConfig())
+        pre = preprocess_df(df, "message")
         assert pre.count() == 1
 
 
 class TestTrainParity:
+    PARITY = [
+        ("HDFS", {}),
+        ("Zookeeper", {}),
+        ("HDFS", {"prefix_k": 1}),
+        ("Zookeeper", {"prefix_k": 1}),
+        ("HDFS", {"dedup": False}),
+        ("HDFS", {"early_stop": False}),
+        ("HDFS", {"variable_credit": False}),
+        ("HDFS", {"balanced": False}),
+    ]
+
     @pytest.mark.parametrize(
-        "dataset, prefix_k",
-        [("HDFS", 0), ("Zookeeper", 0), ("HDFS", 1), ("Zookeeper", 1)],
-        ids=["HDFS", "Zookeeper", "HDFS-prefix_k=1", "Zookeeper-prefix_k=1"],
+        "dataset, change",
+        PARITY,
+        ids=["-".join([d, *(f"{k}={v}" for k, v in c.items())]) for d, c in PARITY],
     )
-    def test_spark_equals_sequential(self, spark, dataset, prefix_k):
+    def test_spark_equals_sequential(self, spark, dataset, change):
         pdf, _ = loghub_lite(dataset)
-        cfg = ParserConfig(prefix_k=prefix_k)
+        cfg = ParserConfig().ablate(**change)
         m_spark = train_model(spark, to_spark(spark, pdf), cfg=cfg)
         m_seq = train_model_sequential(pdf["message"].tolist(), cfg)
         assert m_spark.to_json() == m_seq.to_json()
@@ -104,6 +114,13 @@ class TestTrainParity:
         model = train_model(spark, df)
         assert model.nodes == []
         assert model.to_json() == train_model_sequential(messages).to_json()
+
+    def test_naive_match_rejected(self, spark):
+        # Only the sequential path records the training assignment that
+        # the "w/ naive match" ablation matches with.
+        df = spark.createDataFrame(pd.DataFrame({"message": ["a b", "a c"]}))
+        with pytest.raises(ValueError, match="naive_match"):
+            train_model(spark, df, cfg=ParserConfig(naive_match=True))
 
     def test_prefix_grouping_spark(self, spark):
         pdf = pd.DataFrame({"message": ["alpha x1 y", "beta x2 y"] * 5, "log_id": range(10)})
@@ -118,7 +135,7 @@ class TestMatchDF:
         cfg = ParserConfig()
         model = train_model(spark, df, cfg=cfg)
         out = (
-            match_df(spark, df, model, cfg, threshold=0.8)
+            match_df(spark, df, model, threshold=0.8)
             .toPandas()
             .sort_values("log_id")
         )
@@ -131,9 +148,8 @@ class TestMatchDF:
 
     def test_all_training_logs_matched(self, spark, corpus):
         df, pdf = corpus
-        cfg = ParserConfig()
-        model = train_model(spark, df, cfg=cfg)
-        out = match_df(spark, df, model, cfg)
+        model = train_model(spark, df)
+        out = match_df(spark, df, model)
         assert out.filter(F.col("template_id") < 0).count() == 0
 
     @pytest.mark.parametrize("threshold", [None, 0.8])
@@ -188,12 +204,11 @@ class TestMatchDF:
 
     def test_add_unmatched_df(self, spark, corpus):
         df, pdf = corpus
-        cfg = ParserConfig()
-        model = train_model(spark, df, cfg=cfg)
+        model = train_model(spark, df)
         extra = spark.createDataFrame(
             pd.DataFrame({"message": ["never seen message body qq"], "log_id": [0]})
         )
-        added = add_unmatched_df(spark, extra, model, cfg)
+        added = add_unmatched_df(spark, extra, model)
         assert added == 1
-        out = match_df(spark, extra, model, cfg).toPandas()
+        out = match_df(spark, extra, model).toPandas()
         assert (out["template_id"] >= 0).all()

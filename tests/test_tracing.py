@@ -1,0 +1,43 @@
+"""The per-layer benchmark's tracer (``perfbench/tracing.py``) fits the
+program: every name it wraps exists, and a traced sequential pass yields
+the layer metrics the benchmark reports. A kernel refactor that renames
+a traced function or changes what a span note reads (``build_tree``'s
+first argument must stay the hash matrix) fails here, not only in a
+``perfbench/run.py --trace 1`` run."""
+import importlib
+
+import repro.core.cluster as cluster
+import repro.core.train as train
+from perfbench.tracing import FUNCTIONS, METHODS, Tracer, kernel_metrics
+from repro.core import ParserModel, match_sequential, train_model_sequential
+from repro.core.tokenizer import preprocess_message
+from repro.logs import loghub_lite
+
+
+def test_traced_names_resolve():
+    for _, mod_name, attr in FUNCTIONS:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+    for attr in METHODS:
+        assert callable(ParserModel.__dict__.get(attr)), attr
+
+
+def test_traced_pass_reports_layers():
+    msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+    logs, stream = msgs[:200], msgs[200:400]
+    tracer = Tracer()
+    tracer.pass_id = 1
+    with tracer.installed():
+        with tracer.span("train", phase="train"):
+            model = train_model_sequential(logs)
+        trained_nodes = len(model.nodes)
+        trained = model.to_json()
+        with tracer.span("match", phase="match"):
+            match_sequential(stream, model)
+    m = kernel_metrics(tracer, 1, len(logs), len(stream), trained_nodes)
+    unique = {toks for msg in logs if (toks := tuple(preprocess_message(msg)))}
+    assert m["cluster.build_tree.calls"] >= 1
+    assert m["train.unique_logs"] == len(unique)
+    assert m["model.match_tokens.calls"] >= 1
+    # Tracing changes no result, and the wrappers are gone afterwards.
+    assert trained == train_model_sequential(logs).to_json()
+    assert train.build_tree is cluster.build_tree

@@ -3,13 +3,14 @@ import copy
 import inspect
 from collections import Counter
 
+import pandas as pd
 import pytest
 
 import repro.core.cluster as cluster
 import repro.core.match as match
 import repro.core.saturation as saturation
 import repro.core.train as train
-from repro.core import ParserConfig, match_sequential, train_model_sequential
+from repro.core import ParserConfig, match_sequential, train_model, train_model_sequential
 from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
 from repro.eval.ga import grouping_accuracy
@@ -241,6 +242,16 @@ class TestSamplingGuard:
         cfg = ParserConfig(max_unique_per_group=10)
         msgs = [f"svc op val{i}" for i in range(50)]
         model = train_model_sequential(msgs, cfg)
-        # Only the 10 most frequent unique logs were clustered.
-        assert model.nodes[0].n_logs <= 50
+        # Only 10 of the 50 unique logs were clustered.
+        assert model.nodes[0].n_logs == 10
         assert all(len(nd.template) == 3 for nd in model.nodes)
+
+    def test_max_unique_per_group_spark(self, spark):
+        """Both paths keep the same unique logs: the most frequent, ties
+        in token order."""
+        cfg = ParserConfig(max_unique_per_group=10)
+        msgs = [f"svc op val{i}" for i in range(50) for _ in range(1 + i % 3)]
+        df = spark.createDataFrame(pd.DataFrame({"message": msgs}))
+        model = train_model(spark, df, cfg=cfg)
+        assert model.nodes[0].n_logs == 30  # ten logs seen three times each
+        assert model.to_json() == train_model_sequential(msgs, cfg).to_json()
