@@ -1,10 +1,10 @@
 """ByteBrain-LogParser core (the paper's primary contribution).
 
 Pipeline (offline training, §3–§4): common-variable replacement →
-tokenization (Listing-1 regex) → deduplication → 64-bit hash encoding →
-initial grouping (length + prefix) → per-group hierarchical clustering
-driven by positional-similarity distance (Eq. 2) and the saturation
-score (Eq. 3) → a template tree. Online matching (§4.8) matches logs
+tokenization (Listing-1 regex) → deduplication → initial grouping
+(length + prefix) → per group, 64-bit hash encoding and hierarchical
+clustering driven by positional-similarity distance (Eq. 2) and the
+saturation score (Eq. 3) → a template tree. Online matching (§4.8) matches logs
 against stored template texts in descending saturation order; query-time
 thresholds walk ancestor chains to the coarsest template that satisfies
 the requested precision.

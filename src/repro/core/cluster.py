@@ -204,7 +204,6 @@ class TreeRow:
     template: tuple[str, ...]
     saturation: float
     n_logs: int
-    n_unique: int
     depth: int
     rows: np.ndarray  # unique-log indices (training assignment)
 
@@ -247,7 +246,6 @@ def build_tree(
                 ),
                 saturation=float(sat),
                 n_logs=int(counts[rows].sum()),
-                n_unique=len(rows),
                 depth=0 if parent < 0 else out[parent].depth + 1,
                 rows=rows,
             )

@@ -26,10 +26,10 @@ _SEP = "\x1f"
 
 
 def token_hash64(token: str) -> int:
-    """Deterministic 64-bit token hash for the pure-Python training path
-    (the Spark path uses Catalyst's ``xxhash64``; the two never need to
-    agree because templates are exchanged as text — see DESIGN.md §6).
-    Matching does not hash: it codes tokens with the model's vocabulary."""
+    """Deterministic 64-bit token hash (§4.1.4): both training paths
+    encode each initial group's distinct tokens with it, in
+    ``train._cluster_group``. Matching does not hash: it codes tokens
+    with the model's vocabulary."""
     return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big", signed=True)
 
 

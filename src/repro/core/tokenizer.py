@@ -19,8 +19,10 @@ from pyspark.sql import functions as F
 #: ``[ \t\n\x0B\f\r]`` is Java's ``\s`` (Python's also matches Unicode
 #: spaces and ``\x1c``-``\x1f``) and ``(?![\s\S])`` the end of the input
 #: (Java's ``$`` also matches before a final U+0085, U+2028 or U+2029).
+#: ``\x1f`` is a delimiter too (not in Listing 1): it is the separator
+#: templates are joined with, so no token may hold it.
 TOKENIZE_PATTERN = (
-    r"(?:://)|(?:(?:[ \t\n\x0B\f\r'\";=()\[\]{}?@&<>:,])"
+    r"(?:://)|(?:(?:[ \t\n\x0B\f\r'\";=()\[\]{}?@&<>:,\x1f])"
     r"|(?:[.](?:[ \t\n\x0B\f\r]+|(?![\s\S])))|(?:\\[\"']))+"
 )
 _TOKENIZE_RE = re.compile(TOKENIZE_PATTERN)
@@ -37,6 +39,14 @@ WILDCARD = "*"
 #: Python path skips a pattern whose guard fails. Replacements only
 #: insert ``*``, which never creates a guard's literal. ``[0-9]``, not
 #: ``\d``: Python's ``\d`` also matches non-ASCII digits, Java's does not.
+#: No ``\b`` either: the engines' word characters differ on non-ASCII
+#: numerals such as ``²`` (Python only) and on combining marks (Java
+#: only). A look-ahead and a look-behind reject ASCII word characters
+#: (``[0-9A-Za-z_]``) next to a match instead. The look-behind follows
+#: the fixed-width body (UUID, MD5) or the leading ``0`` (hex), so it runs
+#: only where a match has begun; as a pattern's first step Java tries it
+#: at every position, which made ``match_df`` about 10% slower on the
+#: web-access corpus (``local[2]``, 4 vCPU).
 COMMON_VARIABLES: tuple[tuple[str, Callable[[str], bool]], ...] = (
     (  # ISO timestamp
         r"[0-9]{4}-[0-9]{2}-[0-9]{2}[ T][0-9]{2}:[0-9]{2}:[0-9]{2}(?:[.,][0-9]+)?",
@@ -51,11 +61,18 @@ COMMON_VARIABLES: tuple[tuple[str, Callable[[str], bool]], ...] = (
         lambda m: "." in m,
     ),
     (  # UUID
-        r"\b[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}\b",
+        r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}"
+        r"(?<![0-9A-Za-z_][\s\S]{36})(?![0-9A-Za-z_])",
         lambda m: m.count("-") >= 4,
     ),
-    (r"\b[0-9a-f]{32}\b", lambda m: len(m) >= 32),  # MD5
-    (r"\b0x[0-9a-fA-F]+\b", lambda m: "0x" in m),  # hex literal
+    (  # MD5
+        r"[0-9a-f]{32}(?<![0-9A-Za-z_][\s\S]{32})(?![0-9A-Za-z_])",
+        lambda m: len(m) >= 32,
+    ),
+    (  # hex literal
+        r"0(?<![0-9A-Za-z_]0)x[0-9a-fA-F]+(?![0-9A-Za-z_])",
+        lambda m: "0x" in m,
+    ),
 )
 _COMMON_VARIABLE_RES = [(re.compile(p), guard) for p, guard in COMMON_VARIABLES]
 

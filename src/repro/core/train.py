@@ -2,19 +2,21 @@
 
 The Spark path is pure Catalyst up to the clustering kernel: variable
 replacement (`regexp_replace` chain), tokenization (`split`), dedup
-(`groupBy` on the token array), hash encoding (`transform(tokens,
-xxhash64)` — Catalyst's native 64-bit hash, §4.1.4) and initial-group
-keys (§4.2). Each initial group is then clustered independently inside
-``applyInPandas`` — the paper's "hierarchical clustering can be
-performed concurrently for each group". The sequential path runs the
-identical kernel single-threaded (the paper's *ByteBrain Sequential*)
-and is asserted to produce the same template bank in tests.
+(`groupBy` on the token array) and initial-group keys (§4.2). Each
+initial group is then clustered independently inside ``applyInPandas``
+— the paper's "hierarchical clustering can be performed concurrently
+for each group". Both paths hand each group to ``_cluster_group``, the
+one per-group training body (canonical order, sampling guard, hash
+encoding of §4.1.4, clustering); the sequential path runs it
+single-threaded (the paper's *ByteBrain Sequential*) and is asserted to
+produce the same template bank in tests.
 """
 from __future__ import annotations
 
 import zlib
 from collections import Counter
 from collections.abc import Collection
+from itertools import chain
 
 import numpy as np
 import pandas as pd
@@ -28,7 +30,7 @@ from repro.core.tokenizer import preprocess_message, spark_replace_variables, sp
 
 _TREE_SCHEMA = (
     "group_key string, idx long, parent long, template string, "
-    "saturation double, n_logs long, n_unique long, depth long"
+    "saturation double, n_logs long, depth long"
 )
 
 
@@ -37,35 +39,33 @@ def _group_seed(group_key: str) -> int:
     return zlib.crc32(group_key.encode()) & 0x7FFFFFFF
 
 
-def _canonicalize(mat, counts, texts, cfg: ParserConfig):
-    """Canonical row order + OOM sampling guard.
-
-    The Spark path delivers unique logs in shuffle order, the sequential
-    path in insertion order; sorting by token text makes the two paths
-    (and any hash function) produce bit-identical trees. Oversized
-    groups keep their most frequent unique logs (the paper's random-
-    sampling guard, deterministic here).
-    """
-    order = sorted(range(len(mat)), key=lambda i: texts[i])
-    mat, counts = mat[order], counts[order]
-    texts = [texts[i] for i in order]
-    if len(mat) > cfg.max_unique_per_group:
-        keep = np.argsort(-counts, kind="stable")[: cfg.max_unique_per_group]
-        mat, counts = mat[keep], counts[keep]
-        texts = [texts[i] for i in keep]
-    return mat, counts, texts
-
-
 def _cluster_group(
     group_key: str,
-    mat: np.ndarray,
-    counts: np.ndarray,
     texts: list[tuple[str, ...]],
+    counts: np.ndarray | list[int],
     cfg: ParserConfig,
 ) -> tuple[list[TreeRow], list[tuple[str, ...]]]:
     """Cluster one initial group; returns its tree rows and the
-    canonically ordered texts their ``rows`` index into."""
-    mat, counts, texts = _canonicalize(mat, counts, texts, cfg)
+    canonically ordered texts their ``rows`` index into.
+
+    The Spark path delivers unique logs in shuffle order, the sequential
+    path in insertion order; sorting by token text makes the two paths
+    produce bit-identical trees. Oversized groups keep their most
+    frequent unique logs (the paper's random-sampling guard,
+    deterministic here). The kept logs' distinct tokens are then hashed
+    once each (§4.1.4) into the matrix ``build_tree`` clusters.
+    """
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    texts = [texts[i] for i in order]
+    counts = np.asarray(counts, dtype=np.int64)[order]
+    if len(texts) > cfg.max_unique_per_group:
+        keep = np.argsort(-counts, kind="stable")[: cfg.max_unique_per_group]
+        texts, counts = [texts[i] for i in keep], counts[keep]
+    vocab = list(set(chain.from_iterable(texts)))
+    hash_of = dict(zip(vocab, hash_tokens(vocab).tolist()))
+    n, m = len(texts), len(texts[0])  # a group's logs share their length
+    flat = map(hash_of.__getitem__, chain.from_iterable(texts))
+    mat = np.fromiter(flat, np.int64, n * m).reshape(n, m)
     rng = np.random.default_rng(_group_seed(group_key))
     return build_tree(mat, counts, texts, cfg.cluster, rng), texts
 
@@ -80,7 +80,6 @@ def _tree_frame(group_key: str, rows: list[TreeRow]) -> pd.DataFrame:
             "template": [_SEP.join(r.template) for r in rows],
             "saturation": [r.saturation for r in rows],
             "n_logs": [r.n_logs for r in rows],
-            "n_unique": [r.n_unique for r in rows],
             "depth": [r.depth for r in rows],
         }
     )
@@ -136,14 +135,12 @@ def train_model(
         uniq = pre.groupBy("tokens", "n_tokens").agg(F.count(F.lit(1)).alias("cnt"))
     else:
         uniq = pre.select("tokens", "n_tokens").withColumn("cnt", F.lit(1))
-    uniq = uniq.withColumn("hashes", F.transform("tokens", lambda t: F.xxhash64(t)))
     uniq = uniq.withColumn("group_key", group_key_col(cfg))
 
     def run_group(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        mat = np.array([np.asarray(h, dtype=np.int64) for h in pdf["hashes"]], dtype=np.int64)
-        counts = pdf["cnt"].to_numpy(dtype=np.int64)
+        gk = str(key[0])
         texts = [tuple(t) for t in pdf["tokens"]]
-        return _tree_frame(str(key[0]), _cluster_group(str(key[0]), mat, counts, texts, cfg)[0])
+        return _tree_frame(gk, _cluster_group(gk, texts, pdf["cnt"].to_numpy(), cfg)[0])
 
     tree_rows = (
         uniq.groupBy("group_key")
@@ -178,28 +175,26 @@ def train_model_sequential(
             for msg in messages
             if (toks := tuple(preprocess_message(msg)))
         ]
-    # One blake2b hash per distinct token of the call.
-    vocab = list({t for toks, _ in entries for t in toks})
-    hash_of = dict(zip(vocab, hash_tokens(vocab).tolist()))
-    groups: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+    groups: dict[str, tuple[list[tuple[str, ...]], list[int]]] = {}
     for toks, cnt in entries:
         key = str(len(toks))
         if cfg.prefix_k > 0:
             key += "|" + "|".join(toks[: cfg.prefix_k])
-        groups.setdefault(key, []).append((toks, cnt))
+        texts, counts = groups.setdefault(key, ([], []))
+        texts.append(toks)
+        counts.append(cnt)
 
     model = ParserModel()
     frames = []
-    assignment: dict[str, tuple[str, int]] = {}
+    n_nodes = 0
     for gk in sorted(groups):
-        texts = [t for t, _ in groups[gk]]
-        mat = np.array([[hash_of[t] for t in toks] for toks in texts], dtype=np.int64)
-        counts = np.array([c for _, c in groups[gk]], dtype=np.int64)
-        rows, ctexts = _cluster_group(gk, mat, counts, texts, cfg)
+        rows, texts = _cluster_group(gk, *groups[gk], cfg)
         frames.append(_tree_frame(gk, rows))
         if cfg.naive_match:
             # Deepest node containing each unique log = its training
             # assignment (the "w/ naive match" ablation, §5.4.1).
+            # ``_assemble`` numbers the sorted groups' nodes in idx
+            # order, so local idx i becomes nid ``n_nodes + i``.
             deepest: dict[int, tuple[int, int]] = {}
             for r in rows:
                 for u in r.rows:
@@ -207,17 +202,6 @@ def train_model_sequential(
                     if cur is None or r.depth >= cur[0]:
                         deepest[int(u)] = (r.depth, r.idx)
             for u, (_, local_idx) in deepest.items():
-                assignment[_SEP.join(ctexts[u])] = (gk, local_idx)
-    _assemble(model, pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())
-    if cfg.naive_match and assignment:
-        # Map (group, local idx) -> global nid.
-        key_of: dict[tuple[str, int], int] = {}
-        per_group_counter: dict[str, int] = {}
-        for nd in model.nodes:
-            local = per_group_counter.get(nd.group_key, 0)
-            key_of[(nd.group_key, local)] = nd.nid
-            per_group_counter[nd.group_key] = local + 1
-        model.train_assignment = {
-            text: key_of[(gk, local)] for text, (gk, local) in assignment.items()
-        }
-    return model
+                model.train_assignment[_SEP.join(texts[u])] = n_nodes + local_idx
+        n_nodes += len(rows)
+    return _assemble(model, pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())

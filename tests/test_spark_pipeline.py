@@ -19,6 +19,7 @@ from repro.core.train import preprocess_df
 from repro.logs import loghub_lite
 from repro.logs.corpus import to_spark
 from repro.oracle import assert_equivalent
+from tests.test_tokenizer import _parity_messages
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,20 @@ class TestTrainParity:
         m_spark = train_model(spark, to_spark(spark, pdf), cfg=cfg)
         m_seq = train_model_sequential(pdf["message"].tolist(), cfg)
         assert m_spark.to_json() == m_seq.to_json()
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("prefix_k", [0, 1, 2])
+    def test_spark_equals_sequential_random(self, spark, prefix_k, dedup):
+        """Seeded random messages over the tokenizer parity alphabet
+        (controls, ``\\x1f``, ``²``, a combining mark, ...), half of them
+        twice."""
+        msgs = _parity_messages(300, seed=1)
+        msgs += msgs[:150]
+        cfg = ParserConfig(prefix_k=prefix_k, dedup=dedup)
+        df = spark.createDataFrame(pd.DataFrame({"message": msgs}))
+        m_seq = train_model_sequential(msgs, cfg)
+        assert train_model(spark, df, cfg=cfg).to_json() == m_seq.to_json()
+        assert all(len(nd.template) == int(nd.group_key.split("|")[0]) for nd in m_seq.nodes)
 
     @pytest.mark.parametrize("messages", [[], ["", "  ", " ,; "]], ids=["empty", "all-blank"])
     def test_no_tokens_gives_empty_model(self, spark, messages):

@@ -23,7 +23,7 @@ class TestTokenize:
     def test_multiple_delimiters_collapse(self):
         assert tokenize("a,,  b;;c") == ["a", "b", "c"]
 
-    @pytest.mark.parametrize("delim", list(",;=()[]{}?@&<>:") + ["\t", "\n", "\r"])
+    @pytest.mark.parametrize("delim", list(",;=()[]{}?@&<>:") + ["\t", "\n", "\r", "\x1f"])
     def test_each_delimiter(self, delim):
         assert tokenize(f"a{delim}b") == ["a", "b"]
 
@@ -86,6 +86,22 @@ class TestReplaceVariables:
 
     def test_hex_literal(self):
         assert replace_variables("addr 0xDEADbeef end") == f"addr {WILDCARD} end"
+
+    @pytest.mark.parametrize(
+        "message, expected",
+        [
+            ("²0x1f end", "²* end"),
+            ("a\u03010x1f end", "a\u0301* end"),
+            ("0x1f² end", "*² end"),
+            ("½" + "a1" * 16, "½*"),
+            ("é0x1f end", "é* end"),
+            ("g0x1f end", "g0x1f end"),
+            ("_0x1f end", "_0x1f end"),
+        ],
+    )
+    def test_word_boundary_is_ascii(self, message, expected):
+        # Only [0-9A-Za-z_] neighbours block a hex or hash match.
+        assert replace_variables(message) == expected
 
     def test_plain_words_untouched(self):
         s = "service started on node alpha"
@@ -157,14 +173,16 @@ class TestPreprocess:
 #: Characters on which Python and Java regex classes and anchors differ
 #: unless the pattern text avoids them: controls (Python's ``\s`` has
 #: ``\x1c``-``\x1f``), Unicode spaces, line terminators (Java's ``$``),
-#: non-ASCII digits (Python's ``\d``), a non-ASCII letter (``\b``), and
-#: the hex, timestamp and delimiter characters the patterns are made of.
+#: non-ASCII digits (Python's ``\d``), a non-ASCII letter, non-ASCII
+#: numerals that are not decimal digits and a combining mark (the
+#: engines' ``\b``), and the hex, timestamp and delimiter characters the
+#: patterns are made of.
 _PARITY_ALPHABET = (
     "\x00\x01\x1c\x1d\x1e\x1f\x7f"
     "\xa0\u1680\u2003\u3000\u200b"
     "\n\r\x0b\x0c\x85\u2028\u2029"
     "0123456789\u0660\u0661\u0665\uff10"
-    "abcdefABCDEFxTé"
+    "abcdefABCDEFxTé²½Ⅻ\u0301"
     " -:./,;=()[]{}?@&<>'\"\\_"
 )
 _PARITY_FRAGMENTS = (
@@ -218,8 +236,13 @@ class TestSparkParity:
             "end.\x85",
             "end.\n",
             "a.\x0bb.\x0cc",
-            # \b: both engines treat é as a word character.
+            # Word boundaries: é, ², ½ and combining marks are non-word
+            # characters for both engines.
             "é0x1f end",
+            "²0x1f end",
+            "a\u03010x1f end",
+            "0x1f² end",
+            "½" + "a1" * 16,
         ] + _parity_messages(3000)
 
     def test_tokenize_parity(self, spark, messages):

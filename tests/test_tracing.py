@@ -1,9 +1,11 @@
 """The per-layer benchmark's tracer (``perfbench/tracing.py``) fits the
 program: every name it wraps exists, and a traced sequential pass yields
 the layer metrics the benchmark reports. A kernel refactor that renames
-a traced function or changes what a span note reads (``build_tree``'s
-first argument must stay the hash matrix) fails here, not only in a
-``perfbench/run.py --trace 1`` run."""
+a traced function, moves a call out of a namespace the tracer patches
+(the metric would silently read 0) or changes what a span note reads
+(``build_tree``'s first argument must stay the group's unique-logs ×
+tokens matrix) fails here, not only in a ``perfbench/run.py --trace 1``
+run."""
 import importlib
 
 import repro.core.cluster as cluster
@@ -12,6 +14,19 @@ from perfbench.tracing import FUNCTIONS, METHODS, Tracer, kernel_metrics
 from repro.core import ParserModel, match_sequential, train_model_sequential
 from repro.core.tokenizer import preprocess_message
 from repro.logs import loghub_lite
+
+#: Train-phase spans behind the benchmark's per-layer metrics.
+TRAIN_SPANS = [
+    "tokenizer.preprocess_message",
+    "cluster.build_tree",
+    "cluster.split_node",
+    "cluster.factorize",
+    "saturation.node_stats",
+    "saturation.saturation",
+    "saturation.resolved_masks",
+    "distance.similarity_matrix_codes",
+    "model.hash_tokens",
+]
 
 
 def test_traced_names_resolve():
@@ -35,7 +50,8 @@ def test_traced_pass_reports_layers():
             match_sequential(stream, model)
     m = kernel_metrics(tracer, 1, len(logs), len(stream), trained_nodes)
     unique = {toks for msg in logs if (toks := tuple(preprocess_message(msg)))}
-    assert m["cluster.build_tree.calls"] >= 1
+    for name in TRAIN_SPANS:
+        assert tracer.select(name, 1, "train"), name
     assert m["train.unique_logs"] == len(unique)
     assert m["model.match_tokens.calls"] >= 1
     # Tracing changes no result, and the wrappers are gone afterwards.

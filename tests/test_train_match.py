@@ -10,9 +10,16 @@ import repro.core.cluster as cluster
 import repro.core.match as match
 import repro.core.saturation as saturation
 import repro.core.train as train
-from repro.core import ParserConfig, match_sequential, train_model, train_model_sequential
+from repro.core import (
+    ParserConfig,
+    ParserModel,
+    match_sequential,
+    train_model,
+    train_model_sequential,
+)
 from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
+from repro.core.tokenizer import WILDCARD, preprocess_message
 from repro.eval.ga import grouping_accuracy
 from repro.logs import loghub_lite
 
@@ -55,6 +62,20 @@ class TestTrain:
         cfg = ParserConfig(prefix_k=1)
         model = train_model_sequential(["alpha x1 y", "beta x2 y"], cfg)
         assert len({nd.group_key for nd in model.nodes}) == 2
+
+    def test_separator_in_message(self):
+        """``\\x1f`` joins template tokens (``to_json``, Spark tree rows):
+        it is a delimiter, so templates keep their group's token count."""
+        msgs = ["user a\x1fb logged in", "user c\x1fd logged in", "user e logged out"] * 3
+        model = train_model_sequential(msgs)
+        for nd in model.nodes:
+            assert len(nd.template) == int(nd.group_key.split("|")[0])
+        parents = {nd.parent for nd in model.nodes}
+        for msg in msgs:
+            nid = model.match_tokens(tuple(preprocess_message(msg)))
+            assert nid >= 0 and nid not in parents  # its own leaf
+        loaded = ParserModel.from_json(model.to_json())
+        assert [nd.template for nd in loaded.nodes] == [nd.template for nd in model.nodes]
 
     def test_counts_accumulate(self):
         model = train_model_sequential(SET1 * 3)
@@ -111,6 +132,11 @@ class TestNaiveMatchAblation:
         cfg = ParserConfig(naive_match=True)
         model = train_model_sequential(SET2, cfg)
         assert len(model.train_assignment) == 3
+        parents = {nd.parent for nd in model.nodes}
+        for text, nid in model.train_assignment.items():
+            # The deepest node holding the log: the leaf of its own text.
+            assert nid not in parents
+            assert "\x1f".join(model.nodes[nid].template) == text
 
     def test_naive_vs_text_match_close(self):
         """§5.4.1: text matching ≈ training assignment (GA within 5%)."""
@@ -119,6 +145,11 @@ class TestNaiveMatchAblation:
         gt = pdf["template_id"].tolist()
         cfg_n = ParserConfig(naive_match=True)
         m_n = train_model_sequential(msgs, cfg_n)
+        for text, nid in m_n.train_assignment.items():
+            # Each log's node, in whichever group, holds it.
+            toks, tmpl = text.split("\x1f"), m_n.nodes[nid].template
+            assert len(tmpl) == len(toks)
+            assert all(t in (WILDCARD, tok) for t, tok in zip(tmpl, toks))
         ga_naive = grouping_accuracy(
             match_sequential(msgs, m_n, cfg_n, threshold=0.8), gt
         )
