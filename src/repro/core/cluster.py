@@ -199,8 +199,7 @@ def split_node(
 class TreeRow:
     """One clustering-tree node produced by ``build_tree``."""
 
-    idx: int
-    parent: int  # -1 for the group root
+    parent: int  # index in ``build_tree``'s list; -1 for the group root
     template: tuple[str, ...]
     saturation: float
     n_logs: int
@@ -239,7 +238,6 @@ def build_tree(
         idx = len(out)
         out.append(
             TreeRow(
-                idx=idx,
                 parent=parent,
                 template=tuple(
                     first[i] if nu[i] == 1 else WILDCARD for i in range(len(nu))

@@ -7,9 +7,12 @@ initial group is then clustered independently inside ``applyInPandas``
 — the paper's "hierarchical clustering can be performed concurrently
 for each group". Both paths hand each group to ``_cluster_group``, the
 one per-group training body (canonical order, sampling guard, hash
-encoding of §4.1.4, clustering); the sequential path runs it
-single-threaded (the paper's *ByteBrain Sequential*) and is asserted to
-produce the same template bank in tests.
+encoding of §4.1.4, clustering), and both turn each group's tree into
+model nodes with ``_add_tree``, groups in key order. The sequential path
+runs it single-threaded (the paper's *ByteBrain Sequential*) and adds
+each tree as soon as it is built; Spark collects the trees as one
+frame (``_TREE_SCHEMA``) and ``_assemble`` adds them on the driver.
+The two are asserted to produce the same model in tests.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from repro.core.model import ParserModel, hash_tokens, _SEP
 from repro.core.tokenizer import preprocess_message, spark_replace_variables, spark_tokenize
 
 _TREE_SCHEMA = (
-    "group_key string, idx long, parent long, template string, "
+    "group_key string, idx long, parent long, template array<string>, "
     "saturation double, n_logs long, depth long"
 )
 
@@ -70,38 +73,23 @@ def _cluster_group(
     return build_tree(mat, counts, texts, cfg.cluster, rng), texts
 
 
-def _tree_frame(group_key: str, rows: list[TreeRow]) -> pd.DataFrame:
-    """Tree rows of one group as a pandas frame (``_TREE_SCHEMA``)."""
-    return pd.DataFrame(
-        {
-            "group_key": group_key,
-            "idx": [r.idx for r in rows],
-            "parent": [r.parent for r in rows],
-            "template": [_SEP.join(r.template) for r in rows],
-            "saturation": [r.saturation for r in rows],
-            "n_logs": [r.n_logs for r in rows],
-            "depth": [r.depth for r in rows],
-        }
-    )
+def _add_tree(model: ParserModel, group_key: str, rows) -> int:
+    """Append one group's tree rows (``parent``, ``template``,
+    ``saturation``, ``n_logs``, ``depth``; local-index order) as model
+    nodes. Local parent ``p`` becomes nid ``root + p``; returns ``root``."""
+    root = len(model.nodes)
+    for r in rows:
+        model.add_node(parent=root + r.parent if r.parent >= 0 else -1, template=tuple(r.template),
+                       saturation=r.saturation, n_logs=r.n_logs, depth=r.depth, group_key=group_key)
+    return root
 
 
-def _assemble(model: ParserModel, tree_rows: pd.DataFrame) -> ParserModel:
-    """Tree rows (any group order) -> model nodes with global ids."""
-    if tree_rows.empty:
-        return model
-    for gk, grp in tree_rows.groupby("group_key", sort=True):
-        grp = grp.sort_values("idx")
-        local_to_global: dict[int, int] = {}
-        for row in grp.itertuples(index=False):
-            node = model.add_node(
-                parent=local_to_global.get(int(row.parent), -1) if row.parent >= 0 else -1,
-                template=tuple(row.template.split(_SEP)),
-                saturation=float(row.saturation),
-                n_logs=int(row.n_logs),
-                depth=int(row.depth),
-                group_key=str(gk),
-            )
-            local_to_global[int(row.idx)] = node.nid
+def _assemble(tree_rows: pd.DataFrame) -> ParserModel:
+    """Collected Spark tree rows (any order) -> model, groups in key order."""
+    model = ParserModel()
+    tree_rows = tree_rows.sort_values(["group_key", "idx"])
+    for gk, grp in tree_rows.groupby("group_key", sort=False):
+        _add_tree(model, gk, grp.itertuples(index=False))
     return model
 
 
@@ -115,10 +103,7 @@ def group_key_col(cfg: ParserConfig):
     """Initial-grouping key (§4.2): token count + k-prefix tokens, the
     same text as ``train_model_sequential``'s key (it seeds the group's
     clustering RNG)."""
-    key = F.col("n_tokens").cast("string")
-    if cfg.prefix_k > 0:
-        key = F.concat_ws("|", key, F.concat_ws("|", F.slice("tokens", 1, cfg.prefix_k)))
-    return key
+    return F.concat_ws("|", F.col("n_tokens").cast("string"), F.slice("tokens", 1, cfg.prefix_k))
 
 
 def train_model(
@@ -140,14 +125,16 @@ def train_model(
     def run_group(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         gk = str(key[0])
         texts = [tuple(t) for t in pdf["tokens"]]
-        return _tree_frame(gk, _cluster_group(gk, texts, pdf["cnt"].to_numpy(), cfg)[0])
+        rows = _cluster_group(gk, texts, pdf["cnt"].to_numpy(), cfg)[0]
+        # Integer column labels: Spark takes ``_TREE_SCHEMA``'s columns by position.
+        return pd.DataFrame(
+            [(gk, i, r.parent, list(r.template), r.saturation, r.n_logs, r.depth)
+             for i, r in enumerate(rows)]
+        )
 
-    tree_rows = (
-        uniq.groupBy("group_key")
-        .applyInPandas(run_group, schema=_TREE_SCHEMA)
-        .toPandas()
+    return _assemble(
+        uniq.groupBy("group_key").applyInPandas(run_group, schema=_TREE_SCHEMA).toPandas()
     )
-    return _assemble(ParserModel(), tree_rows)
 
 
 def train_model_sequential(
@@ -177,31 +164,24 @@ def train_model_sequential(
         ]
     groups: dict[str, tuple[list[tuple[str, ...]], list[int]]] = {}
     for toks, cnt in entries:
-        key = str(len(toks))
-        if cfg.prefix_k > 0:
-            key += "|" + "|".join(toks[: cfg.prefix_k])
+        key = "|".join((str(len(toks)), *toks[: cfg.prefix_k]))
         texts, counts = groups.setdefault(key, ([], []))
         texts.append(toks)
         counts.append(cnt)
 
     model = ParserModel()
-    frames = []
-    n_nodes = 0
     for gk in sorted(groups):
         rows, texts = _cluster_group(gk, *groups[gk], cfg)
-        frames.append(_tree_frame(gk, rows))
+        root = _add_tree(model, gk, rows)
         if cfg.naive_match:
             # Deepest node containing each unique log = its training
             # assignment (the "w/ naive match" ablation, §5.4.1).
-            # ``_assemble`` numbers the sorted groups' nodes in idx
-            # order, so local idx i becomes nid ``n_nodes + i``.
             deepest: dict[int, tuple[int, int]] = {}
-            for r in rows:
+            for i, r in enumerate(rows):
                 for u in r.rows:
                     cur = deepest.get(int(u))
                     if cur is None or r.depth >= cur[0]:
-                        deepest[int(u)] = (r.depth, r.idx)
-            for u, (_, local_idx) in deepest.items():
-                model.train_assignment[_SEP.join(texts[u])] = n_nodes + local_idx
-        n_nodes += len(rows)
-    return _assemble(model, pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())
+                        deepest[int(u)] = (r.depth, i)
+            for u, (_, i) in deepest.items():
+                model.train_assignment[_SEP.join(texts[u])] = root + i
+    return model

@@ -84,8 +84,8 @@ class TestTreeInvariants:
     def test_leaves_saturated(self):
         tree = tree_of(SET2)
         children = {r.parent for r in tree}
-        for r in tree:
-            if r.idx not in children:  # leaf
+        for i, r in enumerate(tree):
+            if i not in children:  # leaf
                 assert r.saturation == pytest.approx(1.0)
 
     def test_template_constants_and_wildcards(self):
@@ -114,7 +114,7 @@ class TestSet2Behaviour:
     def test_set2_fully_resolves(self):
         """Fig. 5 Set 2 ends with each log its own template."""
         tree = tree_of(SET2)
-        leaves = [r for r in tree if r.idx not in {x.parent for x in tree}]
+        leaves = [r for i, r in enumerate(tree) if i not in {x.parent for x in tree}]
         assert sorted(len(r.rows) for r in leaves) == [1, 1, 1]
 
     def test_set1_single_node(self):

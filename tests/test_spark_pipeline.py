@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.match import add_unmatched_df
 from repro.core.tokenizer import preprocess_message
-from repro.core.train import preprocess_df
+from repro.core.train import _assemble, preprocess_df
 from repro.logs import loghub_lite
 from repro.logs.corpus import to_spark
 from repro.oracle import assert_equivalent
@@ -142,6 +142,36 @@ class TestTrainParity:
         cfg = ParserConfig(prefix_k=1)
         model = train_model(spark, spark.createDataFrame(pdf), cfg=cfg)
         assert len({nd.group_key for nd in model.nodes}) == 2
+
+    def test_prefix_key_joins_tokens(self, spark):
+        """``|`` is not a token delimiter, so the key ``3|a|b|c`` covers
+        both splits of these messages on both paths."""
+        msgs = ["a|b c x", "a b|c x"]
+        cfg = ParserConfig(prefix_k=2)
+        m_seq = train_model_sequential(msgs, cfg)
+        df = spark.createDataFrame(pd.DataFrame({"message": msgs}))
+        assert train_model(spark, df, cfg=cfg).to_json() == m_seq.to_json()
+        assert {nd.group_key for nd in m_seq.nodes} == {"3|a|b|c"}
+
+    def test_assemble_ignores_row_order(self):
+        """``_assemble`` rebuilds the sequential model from the tree rows
+        of several groups collected in any order."""
+        pdf, _ = loghub_lite("HDFS")
+        model = train_model_sequential(pdf["message"].tolist(), ParserConfig(prefix_k=1))
+        roots: dict[str, int] = {}
+        rows = []
+        for nd in model.nodes:
+            root = roots.setdefault(nd.group_key, nd.nid)
+            parent = nd.parent - root if nd.parent >= 0 else -1
+            rows.append(
+                (nd.group_key, nd.nid - root, parent, list(nd.template),
+                 nd.saturation, nd.n_logs, nd.depth)
+            )
+        assert len(roots) > 2
+        frame = pd.DataFrame(
+            rows, columns=["group_key", "idx", "parent", "template", "saturation", "n_logs", "depth"]
+        ).sample(frac=1.0, random_state=0)
+        assert _assemble(frame).to_json() == model.to_json()
 
 
 class TestMatchDF:

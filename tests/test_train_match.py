@@ -194,6 +194,20 @@ class TestComputeOnce:
         # ablation) once per message.
         assert Counter(seen) == Counter(set(msgs) if dedup else msgs)
 
+    @pytest.mark.parametrize("naive_match", [False, True])
+    def test_sequential_builds_no_frame(self, monkeypatch, naive_match):
+        """The sequential path adds each group's tree to the model
+        directly, without a pandas round trip."""
+        msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+
+        def no_frame(*args, **kwargs):
+            raise AssertionError("pandas DataFrame built")
+
+        monkeypatch.setattr(train.pd, "DataFrame", no_frame)
+        model = train_model_sequential(msgs, ParserConfig(naive_match=naive_match))
+        assert model.nodes
+        assert bool(model.train_assignment) == naive_match
+
     def test_match_preprocesses_once_per_message(self, monkeypatch):
         msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
         model = train_model_sequential(msgs[:200])
