@@ -1,12 +1,13 @@
 """Offline training (§3, §4): Spark job + sequential reference path.
 
-The Spark path is pure Catalyst up to the clustering kernel: variable
-replacement (`regexp_replace` chain), tokenization (`split`), dedup
-(`groupBy` on the token array) and initial-group keys (§4.2). Each
-initial group is then clustered independently inside ``applyInPandas``
-— the paper's "hierarchical clustering can be performed concurrently
-for each group". Both paths hand each group to ``_cluster_group``, the
-one per-group training body (canonical order, sampling guard, hash
+Both paths preprocess with ``_keyed_tokens``: each message (under dedup,
+each distinct raw message with its count) goes through
+``preprocess_message`` and gets its initial-group key (§4.2). On Spark
+that runs in one ``mapInPandas`` task per core, and each initial group
+is then clustered independently inside ``applyInPandas`` — the paper's
+"hierarchical clustering can be performed concurrently for each group".
+Both paths hand each group to ``_cluster_group``, the one per-group
+training body (canonical order, dedup merge, sampling guard, hash
 encoding of §4.1.4, clustering), and both turn each group's tree into
 model nodes with ``_add_tree``, groups in key order. The sequential path
 runs it single-threaded (the paper's *ByteBrain Sequential*) and adds
@@ -18,18 +19,17 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from collections.abc import Collection
-from itertools import chain
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.cluster import TreeRow, build_tree
 from repro.core.config import ParserConfig
 from repro.core.model import ParserModel, hash_tokens, _SEP
-from repro.core.tokenizer import preprocess_message, spark_replace_variables, spark_tokenize
+from repro.core.tokenizer import preprocess_message
 
 _TREE_SCHEMA = (
     "group_key string, idx long, parent long, template array<string>, "
@@ -42,6 +42,21 @@ def _group_seed(group_key: str) -> int:
     return zlib.crc32(group_key.encode()) & 0x7FFFFFFF
 
 
+def _keyed_tokens(
+    messages: Iterable[str | None], cfg: ParserConfig
+) -> Iterator[tuple[str, tuple[str, ...], int]]:
+    """``(group key, token tuple, count)`` per message with tokens; null
+    and blank messages yield nothing. Under ``cfg.dedup`` each distinct
+    raw message is preprocessed once and carries its count; the "w/o
+    dedup" ablation (§5.4.3) preprocesses every message, count 1. The key
+    (§4.2) is the token count and the first ``prefix_k`` tokens joined
+    with ``|``; it also seeds the group's clustering RNG."""
+    counted = Counter(messages).items() if cfg.dedup else zip(messages, repeat(1))
+    for msg, cnt in counted:
+        if msg and (toks := tuple(preprocess_message(msg))):
+            yield "|".join((str(len(toks)), *toks[: cfg.prefix_k])), toks, cnt
+
+
 def _cluster_group(
     group_key: str,
     texts: list[tuple[str, ...]],
@@ -51,16 +66,22 @@ def _cluster_group(
     """Cluster one initial group; returns its tree rows and the
     canonically ordered texts their ``rows`` index into.
 
-    The Spark path delivers unique logs in shuffle order, the sequential
+    The Spark path delivers token tuples in shuffle order, the sequential
     path in insertion order; sorting by token text makes the two paths
-    produce bit-identical trees. Oversized groups keep their most
-    frequent unique logs (the paper's random-sampling guard,
-    deterministic here). The kept logs' distinct tokens are then hashed
-    once each (§4.1.4) into the matrix ``build_tree`` clusters.
+    produce bit-identical trees. Under ``cfg.dedup`` equal tuples (raw
+    messages that differ only in a replaced variable, or on Spark the
+    same tuple from several tasks) then become one unique log, their
+    counts summed. Oversized groups keep their most frequent unique logs
+    (the paper's random-sampling guard, deterministic here). The kept
+    logs' distinct tokens are then hashed once each (§4.1.4) into the
+    matrix ``build_tree`` clusters.
     """
     order = sorted(range(len(texts)), key=texts.__getitem__)
     texts = [texts[i] for i in order]
     counts = np.asarray(counts, dtype=np.int64)[order]
+    if cfg.dedup:
+        starts = [i for i in range(len(texts)) if i == 0 or texts[i] != texts[i - 1]]
+        texts, counts = [texts[i] for i in starts], np.add.reduceat(counts, starts)
     if len(texts) > cfg.max_unique_per_group:
         keep = np.argsort(-counts, kind="stable")[: cfg.max_unique_per_group]
         texts, counts = [texts[i] for i in keep], counts[keep]
@@ -93,34 +114,22 @@ def _assemble(tree_rows: pd.DataFrame) -> ParserModel:
     return model
 
 
-def preprocess_df(df: DataFrame, col: str) -> DataFrame:
-    """Catalyst preprocessing: variable replacement + tokenization."""
-    out = df.withColumn("tokens", spark_tokenize(spark_replace_variables(F.col(col))))
-    return out.withColumn("n_tokens", F.size("tokens")).filter(F.col("n_tokens") > 0)
-
-
-def group_key_col(cfg: ParserConfig):
-    """Initial-grouping key (§4.2): token count + k-prefix tokens, the
-    same text as ``train_model_sequential``'s key (it seeds the group's
-    clustering RNG)."""
-    return F.concat_ws("|", F.col("n_tokens").cast("string"), F.slice("tokens", 1, cfg.prefix_k))
-
-
 def train_model(
     spark: SparkSession, df: DataFrame, *, col: str = "message", cfg: ParserConfig | None = None
 ) -> ParserModel:
-    """Spark offline training: returns the template-tree model. The
-    "w/ naive match" ablation needs the training assignment, which only
-    ``train_model_sequential`` records."""
+    """Spark offline training: returns the template-tree model. One
+    ``mapInPandas`` task per core preprocesses and keys its messages,
+    then one shuffle brings each initial group to an ``applyInPandas``
+    task. The "w/ naive match" ablation needs the training assignment,
+    which only ``train_model_sequential`` records."""
     cfg = cfg or ParserConfig()
     if cfg.naive_match:
         raise ValueError("naive_match is a sequential-path ablation: use train_model_sequential")
-    pre = preprocess_df(df, col)
-    if cfg.dedup:
-        uniq = pre.groupBy("tokens", "n_tokens").agg(F.count(F.lit(1)).alias("cnt"))
-    else:
-        uniq = pre.select("tokens", "n_tokens").withColumn("cnt", F.lit(1))
-    uniq = uniq.withColumn("group_key", group_key_col(cfg))
+
+    def preprocess(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        msgs = chain.from_iterable(pdf[col] for pdf in batches)
+        rows = [(gk, list(toks), cnt) for gk, toks, cnt in _keyed_tokens(msgs, cfg)]
+        yield pd.DataFrame(rows, columns=["group_key", "tokens", "cnt"])
 
     def run_group(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         gk = str(key[0])
@@ -132,9 +141,11 @@ def train_model(
              for i, r in enumerate(rows)]
         )
 
-    return _assemble(
-        uniq.groupBy("group_key").applyInPandas(run_group, schema=_TREE_SCHEMA).toPandas()
+    keyed = df.select(col).coalesce(spark.sparkContext.defaultParallelism).mapInPandas(
+        preprocess, schema="group_key string, tokens array<string>, cnt long"
     )
+    trees = keyed.groupBy("group_key").applyInPandas(run_group, schema=_TREE_SCHEMA)
+    return _assemble(trees.toPandas())
 
 
 def train_model_sequential(
@@ -143,28 +154,8 @@ def train_model_sequential(
     """Single-threaded training on a message list (*ByteBrain
     Sequential*): identical kernel, no Spark."""
     cfg = cfg or ParserConfig()
-    entries: Collection[tuple[tuple[str, ...], int]]
-    if cfg.dedup:
-        # Each distinct raw message is preprocessed once and adds its
-        # count to its token tuple (messages that differ only in a
-        # replaced variable share one).
-        counts_by_tokens: dict[tuple[str, ...], int] = {}
-        for msg, cnt in Counter(messages).items():
-            toks = tuple(preprocess_message(msg))
-            if toks:
-                counts_by_tokens[toks] = counts_by_tokens.get(toks, 0) + cnt
-        entries = counts_by_tokens.items()
-    else:
-        # "w/o dedup" ablation (§5.4.3): every log is preprocessed and
-        # clustered as its own row.
-        entries = [
-            (toks, 1)
-            for msg in messages
-            if (toks := tuple(preprocess_message(msg)))
-        ]
     groups: dict[str, tuple[list[tuple[str, ...]], list[int]]] = {}
-    for toks, cnt in entries:
-        key = "|".join((str(len(toks)), *toks[: cfg.prefix_k]))
+    for key, toks, cnt in _keyed_tokens(messages, cfg):
         texts, counts = groups.setdefault(key, ([], []))
         texts.append(toks)
         counts.append(cnt)

@@ -1,4 +1,4 @@
-"""Spark pipeline integration: Catalyst preprocessing, applyInPandas
+"""Spark pipeline integration: mapInPandas preprocessing, applyInPandas
 training, mapInPandas matching — asserted equal to the sequential path
 and oracle-checked where a SQL equivalent exists."""
 import pandas as pd
@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.match import add_unmatched_df
 from repro.core.tokenizer import preprocess_message
-from repro.core.train import _assemble, preprocess_df
+from repro.core.train import _assemble
 from repro.logs import loghub_lite
 from repro.logs.corpus import to_spark
 from repro.oracle import assert_equivalent
@@ -54,33 +54,108 @@ def _plan_nodes(plan):
         yield from _plan_nodes(children.apply(i))
 
 
-class TestPreprocessDF:
-    def test_dedup_counts_against_duckdb(self, spark, corpus):
+#: Hand-picked edge cases for the tokenizer: control characters,
+#: Unicode spaces, non-ASCII digits, line terminators after a final
+#: period, and non-ASCII letters and digits next to a variable.
+EDGE_MESSAGES = [
+    "UserService createUser token=abc123 success",
+    "at 2024-07-01 12:30:45 from 10.1.2.3:443 done.",
+    'say "hello" now; path /var/log/x.log {a} [b] <c>',
+    "http://example.com/x?y=1&z=2",
+    "trailing period. and, commas",
+    "a\x1fb c",
+    "a\xa0b c",
+    "a\u2003b c",
+    "ip ١٢٣.١.١.١ end",
+    "at ٢٠٢٤-٠٧-٠١ ١٢:٣٠:٤٥ and ٢٠٢٤/٠٧/٠١ ١٢:٣٠:٤٥ end",
+    "end.\u2028",
+    "end.\u2029",
+    "end.\x85",
+    "end.\n",
+    "a.\x0bb.\x0cc",
+    "é0x1f end",
+    "²0x1f end",
+    "a\u03010x1f end",
+    "0x1f² end",
+    "½" + "a1" * 16,
+]
+
+
+def _ran_stages(sc, group: str) -> list:
+    """Stages of a job group that ran tasks. A cached input's lineage is
+    listed as a stage too, but skipped."""
+    tracker = sc.statusTracker()
+    stages = [
+        tracker.getStageInfo(st)
+        for job in tracker.getJobIdsForGroup(group)
+        for st in tracker.getJobInfo(job).stageIds
+    ]
+    return [st for st in stages if st.numCompletedTasks + st.numFailedTasks > 0]
+
+
+class TestSparkPreprocessing:
+    """Spark tasks preprocess with ``preprocess_message``, the sequential
+    path's function."""
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_group_counts_against_duckdb(self, spark, corpus, dedup):
+        """Each length group's root holds every log of that length."""
         df, pdf = corpus
-        pre = preprocess_df(df, "message")
-        agg = (
-            pre.withColumn("tok_key", F.concat_ws("␟", "tokens"))
-            .groupBy("n_tokens")
-            .agg(F.count(F.lit(1)).alias("n"), F.countDistinct("tok_key").alias("uniq"))
+        model = train_model(spark, df, cfg=ParserConfig(dedup=dedup))
+        roots = pd.DataFrame(
+            [(int(nd.group_key), nd.n_logs) for nd in model.nodes if nd.parent < 0],
+            columns=["n_tokens", "n"],
         )
         # DuckDB reference over the pure-Python preprocessing.
-        rows = []
-        for m in pdf["message"]:
-            toks = preprocess_message(m)
-            if toks:
-                rows.append({"n_tokens": len(toks), "tok_key": "␟".join(toks)})
-        ref = pd.DataFrame(rows)
+        ref = pd.DataFrame(
+            {"n_tokens": [len(t) for m in pdf["message"] if (t := preprocess_message(m))]}
+        )
         assert_equivalent(
-            agg,
-            "SELECT n_tokens, COUNT(*) AS n, COUNT(DISTINCT tok_key) AS uniq "
-            "FROM ref GROUP BY 1",
+            spark.createDataFrame(roots),
+            "SELECT n_tokens, COUNT(*) AS n FROM ref GROUP BY 1",
             ref=ref,
         )
 
-    def test_empty_token_rows_dropped(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"message": ["a b", " ,; "]}))
-        pre = preprocess_df(df, "message")
-        assert pre.count() == 1
+    def test_blank_and_null_messages_skipped(self, spark):
+        msgs = ["a b c", None, "a b d", "", "  ", " ,; ", "x y"]
+        pdf = pd.DataFrame({"message": pd.Series(msgs, dtype=object), "log_id": range(len(msgs))})
+        df = spark.createDataFrame(pdf, "message string, log_id long")
+        model = train_model(spark, df)
+        assert sum(nd.n_logs for nd in model.nodes if nd.parent < 0) == 3
+        out = match_df(spark, df, model).toPandas()
+        assert sorted(out["log_id"]) == [0, 2, 6]
+        assert (out["template_id"] >= 0).all()
+
+    def test_edge_messages_equal_sequential(self, spark):
+        """``match_df`` gives every message with tokens the id and text
+        ``match_sequential`` gives it, and leaves out the rest."""
+        msgs = EDGE_MESSAGES + _parity_messages(3000)
+        model = train_model_sequential(msgs[: len(msgs) // 2])
+        df = spark.createDataFrame(pd.DataFrame({"message": msgs, "log_id": range(len(msgs))}))
+        out = match_df(spark, df, model).toPandas().sort_values("log_id")
+        seq = match_sequential(msgs, model, add_unmatched=False)
+        kept = [i for i, m in enumerate(msgs) if preprocess_message(m)]
+        assert len(kept) < len(msgs)
+        assert -1 in seq and max(seq) >= 0
+        assert out["log_id"].tolist() == kept
+        assert out["template_id"].tolist() == [seq[i] for i in kept]
+        assert out["template"].tolist() == [
+            model.nodes[seq[i]].text() if seq[i] >= 0 else "" for i in kept
+        ]
+
+    def test_train_two_stages_match_no_regex_plan(self, spark, corpus):
+        """Training runs the preprocessing stage and the per-group stage,
+        with one shuffle between them; matching runs no Catalyst regex."""
+        df, _ = corpus
+        sc = spark.sparkContext
+        sc.setJobGroup("train-model-two-stages", "train_model stage count")
+        try:
+            model = train_model(spark, df)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(_ran_stages(sc, "train-model-two-stages")) == 2
+        plan = match_df(spark, df, model)._jdf.queryExecution().executedPlan().toString()
+        assert "MapInPandas" in plan and "regexp_replace" not in plan
 
 
 class TestTrainParity:

@@ -170,12 +170,12 @@ class TestPreprocess:
         assert preprocess_message("from 10.0.3.44 closed") == ["from", WILDCARD, "closed"]
 
 
-#: Characters on which Python and Java regex classes and anchors differ
-#: unless the pattern text avoids them: controls (Python's ``\s`` has
-#: ``\x1c``-``\x1f``), Unicode spaces, line terminators (Java's ``$``),
-#: non-ASCII digits (Python's ``\d``), a non-ASCII letter, non-ASCII
-#: numerals that are not decimal digits and a combining mark (the
-#: engines' ``\b``), and the hex, timestamp and delimiter characters the
+#: Characters at the edges of the patterns' classes and anchors:
+#: controls (``\s`` would hold ``\x1c``-``\x1f``), Unicode spaces, line
+#: terminators (``$`` would match before a final ``\n``), non-ASCII
+#: digits (``\d`` would match them), a non-ASCII letter, non-ASCII
+#: numerals that are not decimal digits and a combining mark (``\b``
+#: would differ), and the hex, timestamp and delimiter characters the
 #: patterns are made of.
 _PARITY_ALPHABET = (
     "\x00\x01\x1c\x1d\x1e\x1f\x7f"
@@ -212,49 +212,3 @@ def _parity_messages(n: int, seed: int = 0) -> list[str]:
                 parts.append("".join(rng.choices(_PARITY_ALPHABET, k=rng.randint(1, 4))))
         out.append("".join(parts))
     return out
-
-
-class TestSparkParity:
-    """The exact same pattern must behave identically under Java regex."""
-
-    @pytest.fixture(scope="class")
-    def messages(self):
-        return [
-            "UserService createUser token=abc123 success",
-            "at 2024-07-01 12:30:45 from 10.1.2.3:443 done.",
-            'say "hello" now; path /var/log/x.log {a} [b] <c>',
-            "http://example.com/x?y=1&z=2",
-            "trailing period. and, commas",
-            # Strings on which Python's \s, \d and $ differ from Java's.
-            "a\x1fb c",
-            "a\xa0b c",
-            "a\u2003b c",
-            "ip ١٢٣.١.١.١ end",
-            "at ٢٠٢٤-٠٧-٠١ ١٢:٣٠:٤٥ and ٢٠٢٤/٠٧/٠١ ١٢:٣٠:٤٥ end",
-            "end.\u2028",
-            "end.\u2029",
-            "end.\x85",
-            "end.\n",
-            "a.\x0bb.\x0cc",
-            # Word boundaries: é, ², ½ and combining marks are non-word
-            # characters for both engines.
-            "é0x1f end",
-            "²0x1f end",
-            "a\u03010x1f end",
-            "0x1f² end",
-            "½" + "a1" * 16,
-        ] + _parity_messages(3000)
-
-    def test_tokenize_parity(self, spark, messages):
-        import pandas as pd
-        from pyspark.sql import functions as F
-
-        from repro.core.tokenizer import spark_replace_variables, spark_tokenize
-
-        df = spark.createDataFrame(pd.DataFrame({"m": messages}))
-        got = df.select(
-            spark_tokenize(spark_replace_variables(F.col("m"))).alias("pre"),
-            spark_tokenize(F.col("m")).alias("tok"),
-        ).toPandas()
-        assert [list(x) for x in got["pre"]] == [preprocess_message(m) for m in messages]
-        assert [list(x) for x in got["tok"]] == [tokenize(m) for m in messages]

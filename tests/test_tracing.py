@@ -52,6 +52,7 @@ def test_traced_pass_reports_layers():
     unique = {toks for msg in logs if (toks := tuple(preprocess_message(msg)))}
     for name in TRAIN_SPANS:
         assert tracer.select(name, 1, "train"), name
+    assert tracer.select("tokenizer.preprocess_message", 1, "match")
     assert m["train.unique_logs"] == len(unique)
     assert m["model.match_tokens.calls"] >= 1
     # Tracing changes no result, and the wrappers are gone afterwards.

@@ -111,6 +111,8 @@ class TestMatch:
         # A second occurrence now matches the temp template.
         nids2 = match_sequential(["totally different log line here"], model)
         assert nids2[0] == before
+        # A message without tokens has nothing to absorb.
+        assert match_sequential([" ,; "], model) == [-1]
 
     def test_threshold_coarsens(self):
         model = train_model_sequential(SET2)
