@@ -22,12 +22,11 @@ PAPER_AVG = {
 }
 
 
-def run(spark=None, *, datasets=None, scale: float = 1.0, budget_s: float = 60.0,
-        use_spark: bool = True) -> list:
+def run(spark=None, *, datasets=None, scale: float = 1.0, budget_s: float = 60.0) -> list:
     results = []
     for name in datasets or LOGHUB2:
         pdf, _ = loghub2_lite(name, scale=scale)
-        if spark is not None and use_spark:
+        if spark is not None:
             results.append(run_bytebrain_spark(spark, name, pdf))
         else:
             results.append(run_bytebrain_sequential(name, pdf))
@@ -44,13 +43,9 @@ def main() -> None:
     budget = float(os.environ.get("TABLE3_BUDGET_S", "60"))
     spark = get_spark("table3") if os.environ.get("TABLE3_SPARK", "1") == "1" else None
     results = run(spark, scale=scale, budget_s=budget)
-    # Patch the paper-average row source for the Table-3 column.
-    import table2_loghub_accuracy as t2
-
-    t2.PAPER_AVG = PAPER_AVG
     print("Table 3 (reproduction): group accuracy on LogHub-2.0-lite "
           f"(scale={scale}, budget={budget}s)")
-    print(render(results))
+    print(render(results, PAPER_AVG))
     out = os.environ.get("TABLE3_JSON")
     if out:
         json.dump([r.__dict__ for r in results], open(out, "w"), indent=1, default=float)

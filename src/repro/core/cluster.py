@@ -11,18 +11,18 @@ saturation (§4.4 "ensure saturation increase"). Early-stop shortcuts
 For speed the kernel factorizes the group's hash matrix once into
 per-column integer codes, and the saturation statistics operate on the
 code matrix directly (hashes and codes give identical distinctness-based
-results, asserted in tests). Each tree node is evaluated once: its
-statistics (``node_stats``: one sort and one ``bincount`` over all
-columns), its resolved masks (``resolved_masks``, multi-row nodes only)
-and its saturation are computed in ``build_tree`` and passed down to the
-early stops and template rendering. The ensure-saturation-increase check
-evaluates each converged multi-log cluster the same way into a table
-that lives for one ``build_tree`` call, so a cluster that becomes a
-child, or meets a later check, is not evaluated again. Eq. 2 takes one
-``bincount`` per cluster over vocabulary-offset codes and sums positions
-left to right, so every similarity, and hence every tie-break, is
-bit-identical to a per-position loop and trained models stay
-byte-identical.
+results, asserted in tests). Each multi-log row set is evaluated once
+per ``build_tree`` call by one memoized ``evaluate``: its statistics
+(``node_stats``: one sort and one ``bincount`` over all columns), its
+resolved masks (``resolved_masks``) and its saturation. ``build_tree``
+reads it for every multi-log node, ``split_node`` for its early stops
+and for the ensure-saturation-increase check, so a cluster that check
+scored is not scored again when it becomes a child. A one-log node is
+saturated by definition (s = 1, its template is its log) and becomes a
+leaf without statistics. Eq. 2 takes one ``bincount`` per cluster over
+vocabulary-offset codes and sums positions left to right, so every
+similarity, and hence every tie-break, is bit-identical to a
+per-position loop and trained models stay byte-identical.
 
 ``build_tree`` applies the process recursively until every node reaches
 the saturation target, producing the template tree rows that
@@ -30,6 +30,7 @@ the saturation target, producing the template tree rows that
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ MAX_CLUSTERS = 64
 
 Stats = tuple[np.ndarray, np.ndarray, float]
 Masks = tuple[np.ndarray, np.ndarray]
-#: (node_stats, resolved_masks or None for a single row, raw saturation)
-NodeEval = tuple[Stats, Masks | None, float]
+#: (node_stats, resolved_masks, raw saturation) of a multi-log row set
+NodeEval = tuple[Stats, Masks, float]
 
 
 def factorize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,16 +65,6 @@ def factorize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         codes[:, i] = inv
         vocab[i] = len(vals)
     return codes, vocab
-
-
-def _evaluate(
-    codes: np.ndarray, rows: np.ndarray, counts: np.ndarray, cfg: ClusterConfig
-) -> NodeEval:
-    """Statistics, resolved masks and raw saturation of the node ``rows``."""
-    sub, cnt = codes[rows], counts[rows]
-    stats = node_stats(sub, cnt)
-    masks = resolved_masks(sub, cfg, cnt, stats) if len(rows) > 1 else None
-    return stats, masks, saturation(sub, cfg, cnt, stats=stats, masks=masks)
 
 
 def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.ndarray:
@@ -123,32 +114,23 @@ def split_node(
     parent_sat: float,
     cfg: ClusterConfig,
     rng: np.random.Generator,
-    stats: Stats,
-    masks: Masks,
-    evaluated: dict[bytes, NodeEval],
+    evaluate: Callable[[np.ndarray], NodeEval],
 ) -> list[np.ndarray] | None:
-    """One single clustering process on ``rows`` of the node.
+    """One single clustering process on the multi-log node ``rows``.
 
-    ``stats`` and ``masks`` are the node's ``node_stats`` and
-    ``resolved_masks``. ``evaluated`` maps ``rows.tobytes()`` of a row
-    set to its ``_evaluate`` result: the ensure-saturation-increase check
-    reads every converged multi-log cluster from it, or scores the
-    cluster and adds it. Returns the partition as absolute row-index
-    arrays, or None when the node cannot (or need not) be split further.
+    ``evaluate(rows)`` returns the ``NodeEval`` of a multi-log row set
+    (memoized by ``build_tree``): the early stops read the node's own,
+    the ensure-saturation-increase check the saturation of every
+    converged multi-log cluster. Returns the partition as absolute
+    row-index arrays, or None when the node cannot (or need not) be
+    split further.
     """
     n = len(rows)
-    if n <= 1:
-        return None
     if cfg.early_stop:
+        stats, masks, _ = evaluate(rows)
         early = _early_split(codes, rows, stats, masks)
         if early is not None:
             return [rows[c] for c in early] if len(early) > 1 else None
-
-    def cluster_sat(c: np.ndarray) -> float:
-        key = rows[c].tobytes()
-        if key not in evaluated:
-            evaluated[key] = _evaluate(codes, rows[c], counts, cfg)
-        return evaluated[key][2]
 
     sub = codes[rows]
     cnt = counts[rows].astype(np.float64)
@@ -176,7 +158,7 @@ def split_node(
                 break
             # Converged: inject a new cluster if some multi-log cluster
             # failed to improve on the parent's saturation (§4.4).
-            bad = [c for c in clusters if len(c) > 1 and cluster_sat(c) <= parent_sat + _EPS]
+            bad = [c for c in clusters if len(c) > 1 and evaluate(rows[c])[2] <= parent_sat + _EPS]
             if not bad:
                 break
             pool = np.concatenate(bad)
@@ -222,37 +204,38 @@ def build_tree(
     root→leaf paths so query-time ancestor walks are well-defined.
     """
     codes, vocab = factorize(mat)
-    out: list[TreeRow] = []
-    all_rows = np.arange(mat.shape[0])
-    stack: list[tuple[np.ndarray, int, NodeEval | None]] = [(all_rows, -1, None)]
-    # Clusters scored by the ensure-saturation-increase checks of this
-    # tree, reused when their rows become a child.
     evaluated: dict[bytes, NodeEval] = {}
+
+    def evaluate(rows: np.ndarray) -> NodeEval:
+        """``NodeEval`` of a multi-log row set, computed once per tree."""
+        key = rows.tobytes()
+        if key not in evaluated:
+            sub, cnt = codes[rows], counts[rows]
+            stats = node_stats(sub, cnt)
+            masks = resolved_masks(sub, cfg, cnt, stats)
+            evaluated[key] = stats, masks, saturation(sub, cfg, cnt, stats=stats, masks=masks)
+        return evaluated[key]
+
+    out: list[TreeRow] = []
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(mat.shape[0]), -1)]
     while stack:
-        rows, parent, node = stack.pop()
-        stats, masks, sat = _evaluate(codes, rows, counts, cfg) if node is None else node
-        nu = stats[0]
+        rows, parent = stack.pop()
+        depth = 0 if parent < 0 else out[parent].depth + 1
+        n_logs = int(counts[rows].sum())
+        if len(rows) == 1:
+            # Saturated by definition (s = 1): the log is its own template.
+            out.append(TreeRow(parent, texts[int(rows[0])], 1.0, n_logs, depth, rows))
+            continue
+        (nu, _, _), _, sat = evaluate(rows)
         if parent >= 0:
             sat = max(sat, out[parent].saturation)  # monotone down the tree
         first = texts[int(rows[0])]
+        template = tuple(first[i] if nu[i] == 1 else WILDCARD for i in range(len(nu)))
         idx = len(out)
-        out.append(
-            TreeRow(
-                parent=parent,
-                template=tuple(
-                    first[i] if nu[i] == 1 else WILDCARD for i in range(len(nu))
-                ),
-                saturation=float(sat),
-                n_logs=int(counts[rows].sum()),
-                depth=0 if parent < 0 else out[parent].depth + 1,
-                rows=rows,
-            )
-        )
-        if sat >= SAT_TARGET or len(rows) <= 1:
+        out.append(TreeRow(parent, template, float(sat), n_logs, depth, rows))
+        if sat >= SAT_TARGET:
             continue
-        children = split_node(codes, vocab, counts, rows, sat, cfg, rng, stats, masks, evaluated)
-        if children is None:
-            continue
-        for child in children:
-            stack.append((child, idx, evaluated.get(child.tobytes())))
+        children = split_node(codes, vocab, counts, rows, sat, cfg, rng, evaluate)
+        if children is not None:
+            stack.extend((child, idx) for child in children)
     return out

@@ -121,8 +121,11 @@ class ParserModel:
         self.train_assignment: dict[str, int] = {}
 
     # -- construction -------------------------------------------------
-    def add_node(self, **kw) -> TemplateNode:
-        node = TemplateNode(nid=len(self.nodes), **kw)
+    def add_node(self, *, saturation: float, **kw) -> TemplateNode:
+        """Append a node. Its saturation is stored rounded to 6 places,
+        the precision ``to_json`` keeps, so a model and its JSON copy
+        answer threshold queries alike."""
+        node = TemplateNode(nid=len(self.nodes), saturation=round(float(saturation), 6), **kw)
         self.nodes.append(node)
         self._buckets = None
         return node
@@ -183,7 +186,7 @@ class ParserModel:
         return json.dumps(
             {
                 "nodes": [
-                    [nd.parent, _SEP.join(nd.template), round(nd.saturation, 6),
+                    [nd.parent, _SEP.join(nd.template), nd.saturation,
                      nd.n_logs, nd.depth, nd.group_key]
                     for nd in self.nodes
                 ]

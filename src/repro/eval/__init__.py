@@ -1,11 +1,10 @@
 """Evaluation harness: grouping accuracy (§5.1.3) and throughput."""
 
-from repro.eval.ga import grouping_accuracy, grouping_accuracy_spark
+from repro.eval.ga import grouping_accuracy
 from repro.eval.harness import MethodResult, run_baseline, run_bytebrain_sequential, run_bytebrain_spark
 
 __all__ = [
     "grouping_accuracy",
-    "grouping_accuracy_spark",
     "MethodResult",
     "run_baseline",
     "run_bytebrain_sequential",

@@ -2,16 +2,13 @@
 
 A log is correct iff its predicted group contains exactly the logs of
 its ground-truth template — equivalently, a predicted group counts only
-when it maps 1:1 onto a ground-truth group of the same size. Both a
-pure-pandas implementation and a Spark implementation are provided; the
-Spark version's intermediate aggregate is oracle-checked against DuckDB
-in tests.
+when it maps 1:1 onto a ground-truth group of the same size. Both
+ByteBrain paths and every baseline are scored by this one pandas
+implementation; the Spark harness collects its matched labels first.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def grouping_accuracy(pred: list, gt: list) -> float:
@@ -29,30 +26,3 @@ def grouping_accuracy(pred: list, gt: list) -> float:
     j = pair.join(pstat, on="p").join(gstat, on="g")
     ok = j[(j.pn == 1) & (j.gn == 1) & (j.psz == j.gsz)]["c"].sum()
     return float(ok) / len(dfx)
-
-
-def ga_pair_counts(df: DataFrame, pred_col: str, gt_col: str) -> DataFrame:
-    """(pred, gt, pair count, pred size, gt size, fan-outs) aggregate —
-    the oracle-checkable intermediate of the Spark GA computation."""
-    pair = df.groupBy(pred_col, gt_col).agg(F.count(F.lit(1)).alias("c"))
-    pstat = pair.groupBy(pred_col).agg(
-        F.sum("c").alias("psz"), F.count(F.lit(1)).alias("pn")
-    )
-    gstat = pair.groupBy(gt_col).agg(
-        F.sum("c").alias("gsz"), F.count(F.lit(1)).alias("gn")
-    )
-    return pair.join(pstat, on=pred_col).join(gstat, on=gt_col)
-
-
-def grouping_accuracy_spark(df: DataFrame, pred_col: str = "template_id", gt_col: str = "template_id_gt") -> float:
-    """Strict GA over a Spark DataFrame with predicted and gt labels."""
-    total = df.count()
-    if total == 0:
-        return 1.0
-    j = ga_pair_counts(df, pred_col, gt_col)
-    ok = (
-        j.filter((F.col("pn") == 1) & (F.col("gn") == 1) & (F.col("psz") == F.col("gsz")))
-        .agg(F.coalesce(F.sum("c"), F.lit(0)).alias("ok"))
-        .collect()[0]["ok"]
-    )
-    return float(ok) / total

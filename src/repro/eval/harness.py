@@ -18,7 +18,7 @@ from repro.baselines import make_baseline
 from repro.baselines.base import BudgetExceeded
 from repro.baselines.semantic import SimulatedSemanticParser
 from repro.core import ParserConfig, match_df, match_sequential, train_model, train_model_sequential
-from repro.eval.ga import grouping_accuracy, grouping_accuracy_spark
+from repro.eval.ga import grouping_accuracy
 from repro.logs.corpus import to_spark
 
 
@@ -59,12 +59,11 @@ def run_bytebrain_spark(
     matched = match_df(spark, df, model, threshold=cfg.query_threshold).cache()
     matched.count()
     dt = time.perf_counter() - t0
-    joined = matched.join(
-        df.selectExpr("log_id", "template_id as template_id_gt"), on="log_id"
-    )
-    ga = grouping_accuracy_spark(joined, "template_id", "template_id_gt")
-    n_groups = matched.select("template_id").distinct().count()
+    pred = matched.select("log_id", "template_id").toPandas()
     matched.unpersist()
+    joined = pred.merge(pdf[["log_id", "template_id"]], on="log_id", suffixes=("", "_gt"))
+    ga = grouping_accuracy(joined["template_id"].tolist(), joined["template_id_gt"].tolist())
+    n_groups = int(pred["template_id"].nunique())
     df.unpersist()
     return MethodResult("ByteBrain", dataset, ga, dt, n / dt, n_groups)
 

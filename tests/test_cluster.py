@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cluster import _evaluate, build_tree, factorize, split_node
+from repro.core.cluster import build_tree, factorize, split_node
 from repro.core.config import ClusterConfig
 from repro.core.model import hash_tokens
+from repro.core.saturation import node_stats, resolved_masks, saturation
 
 CFG = ClusterConfig()
 
@@ -22,12 +23,18 @@ def tree_of(rows, cfg=CFG, counts=None, seed=0):
 
 
 def split_root(codes, vocab, cnt, parent_sat):
-    """``split_node`` on every row, with the statistics ``build_tree``
-    would hand it."""
+    """``split_node`` on every row, with an ``evaluate`` that scores a
+    row set the way ``build_tree``'s does (without its memo)."""
+
+    def evaluate(rows):
+        sub, c = codes[rows], cnt[rows]
+        stats = node_stats(sub, c)
+        masks = resolved_masks(sub, CFG, c, stats)
+        return stats, masks, saturation(sub, CFG, c, stats=stats, masks=masks)
+
     rows = np.arange(len(codes))
-    stats, masks = _evaluate(codes, rows, cnt, CFG)[:2]
     rng = np.random.default_rng(0)
-    return split_node(codes, vocab, cnt, rows, parent_sat, CFG, rng, stats, masks, {})
+    return split_node(codes, vocab, cnt, rows, parent_sat, CFG, rng, evaluate)
 
 
 SET2 = [
@@ -55,9 +62,9 @@ class TestEarlyStops:
         assert sorted(len(c) for c in children) == [1, 1, 5]
 
     def test_singleton_not_split(self):
-        mat, cnt, _ = prep(SET2[:1])
-        codes, vocab = factorize(mat)
-        assert split_root(codes, vocab, cnt, 0.0) is None
+        """A one-log group is a single leaf: saturated, its log the template."""
+        (leaf,) = tree_of(SET2[:1])
+        assert (leaf.parent, leaf.template, leaf.saturation) == (-1, tuple(SET2[0]), 1.0)
 
 
 class TestTreeInvariants:

@@ -1,9 +1,7 @@
-"""Grouping Accuracy metric (§5.1.3) — pure and Spark, oracle-checked."""
-import pandas as pd
+"""Grouping Accuracy metric (§5.1.3)."""
 import pytest
 
-from repro.eval.ga import ga_pair_counts, grouping_accuracy, grouping_accuracy_spark
-from repro.oracle import assert_equivalent
+from repro.eval.ga import grouping_accuracy
 
 
 class TestPure:
@@ -37,50 +35,3 @@ class TestPure:
 
     def test_single_log(self):
         assert grouping_accuracy([5], ["t"]) == 1.0
-
-
-class TestSpark:
-    @pytest.fixture(scope="class")
-    def labels_df(self, spark):
-        pdf = pd.DataFrame(
-            {
-                "template_id": [1, 1, 2, 3, 3, 3, 4],
-                "template_id_gt": [10, 10, 10, 20, 20, 20, 30],
-            }
-        )
-        return spark.createDataFrame(pdf), pdf
-
-    def test_spark_matches_pure(self, labels_df):
-        df, pdf = labels_df
-        got = grouping_accuracy_spark(df)
-        want = grouping_accuracy(pdf["template_id"].tolist(), pdf["template_id_gt"].tolist())
-        assert got == pytest.approx(want)
-
-    def test_pair_counts_against_duckdb(self, labels_df):
-        """Oracle check: the Spark GA intermediate equals the SQL spec."""
-        df, pdf = labels_df
-        j = ga_pair_counts(df, "template_id", "template_id_gt").select(
-            "template_id", "template_id_gt", "c", "psz", "pn", "gsz", "gn"
-        )
-        sql = """
-            WITH pair AS (
-                SELECT template_id, template_id_gt, COUNT(*) AS c
-                FROM labels GROUP BY 1, 2
-            ),
-            p AS (
-                SELECT template_id, SUM(c) AS psz, COUNT(*) AS pn
-                FROM pair GROUP BY 1
-            ),
-            g AS (
-                SELECT template_id_gt, SUM(c) AS gsz, COUNT(*) AS gn
-                FROM pair GROUP BY 1
-            )
-            SELECT pair.template_id, pair.template_id_gt, pair.c,
-                   p.psz, p.pn, g.gsz, g.gn
-            FROM pair JOIN p USING (template_id) JOIN g USING (template_id_gt)
-        """
-        assert_equivalent(j, sql, labels=pdf)
-
-    def test_perfect_spark(self, spark):
-        pdf = pd.DataFrame({"template_id": [1, 1, 2], "template_id_gt": [7, 7, 9]})
-        assert grouping_accuracy_spark(spark.createDataFrame(pdf)) == 1.0

@@ -29,6 +29,8 @@ class TestTable2:
         assert "ByteBrain" in methods and "Drain" in methods and "LILAC" in methods
         assert "ByteBrain-Seq" in methods
         assert len(results) == 18  # spark + sequential + 16 baselines
+        ga = {r.method: r.ga for r in results}
+        assert ga["ByteBrain"] == ga["ByteBrain-Seq"]
         text = table2_loghub_accuracy.render(results)
         assert "HDFS" in text and "ByteBrain" in text
 

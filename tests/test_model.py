@@ -70,8 +70,19 @@ class TestPersistence:
         m, _ = build_model()
         m2 = ParserModel.from_json(m.to_json())
         assert [(n.parent, n.template, n.saturation) for n in m.nodes] == [
-            (n.parent, n.template, round(n.saturation, 6)) for n in m2.nodes
+            (n.parent, n.template, n.saturation) for n in m2.nodes
         ]
+
+    def test_threshold_query_survives_roundtrip(self):
+        """Eq. 3 can give 0.7999999999999999 where the exact value is
+        0.8; the model stores what its JSON copy reads back, so both
+        walk to the same ancestor at the default threshold 0.8."""
+        m = ParserModel()
+        m.add_node(parent=-1, template=("a", "*"), saturation=0.7999999999999999,
+                   n_logs=2, depth=0, group_key="2")
+        m.add_node(parent=0, template=("a", "b"), saturation=1.0, n_logs=1, depth=1, group_key="2")
+        m2 = ParserModel.from_json(m.to_json())
+        assert m.ancestor_at(1, 0.8) == m2.ancestor_at(1, 0.8) == 0
 
     def test_roundtrip_matching_identical(self):
         m, _ = build_model()

@@ -247,8 +247,10 @@ class TestComputeOnce:
     def test_each_node_evaluated_once(self, monkeypatch, name):
         """No (sub-matrix, counts) pair reaches ``node_stats`` or
         ``resolved_masks`` twice within one ``build_tree``, unless those
-        rows form more than one tree node."""
+        rows form more than one tree node, and no one-log node reaches
+        them at all."""
         calls = {"node_stats": Counter(), "resolved_masks": Counter()}
+        rows_seen = Counter()
 
         def counted(fn):
             sig = inspect.signature(fn)
@@ -256,6 +258,7 @@ class TestComputeOnce:
             def wrapper(*args, **kwargs):
                 bound = sig.bind(*args, **kwargs).arguments
                 calls[fn.__name__][bound["mat"].tobytes(), bound["counts"].tobytes()] += 1
+                rows_seen[bound["mat"].shape[0]] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -282,6 +285,7 @@ class TestComputeOnce:
         monkeypatch.setattr(train, "build_tree", build_tree)
         train_model_sequential(loghub_lite(name)[0]["message"].tolist(), ParserConfig())
         assert n_trees > 0
+        assert rows_seen[1] == 0 and rows_seen.total() > 0
 
 
 class TestSamplingGuard:
