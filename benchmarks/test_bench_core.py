@@ -45,6 +45,5 @@ def test_bench_train_sequential(benchmark, corpus):
 
 
 def test_bench_match_sequential(benchmark, corpus):
-    cfg = ParserConfig()
-    model = train_model_sequential(corpus, cfg)
-    benchmark(lambda: match_sequential(corpus, model, cfg, threshold=0.8, add_unmatched=False))
+    model = train_model_sequential(corpus)
+    benchmark(lambda: match_sequential(corpus, model, threshold=0.8, add_unmatched=False))

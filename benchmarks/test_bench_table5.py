@@ -12,7 +12,7 @@ def test_bench_table5_topic(benchmark):
     def pipeline():
         model = train_model_sequential(msgs[:5000], ParserConfig())
         t0 = time.perf_counter()
-        match_sequential(msgs, model, ParserConfig())
+        match_sequential(msgs, model)
         return (pdf["message"].str.len().sum() / (1 << 20)) / (time.perf_counter() - t0)
 
     mbps = benchmark.pedantic(pipeline, rounds=2, iterations=1)

@@ -12,7 +12,7 @@ import os
 import sys
 import time
 
-from repro.core import ParserConfig, match_sequential, train_model, train_model_sequential
+from repro.core import match_sequential, train_model, train_model_sequential
 from repro.logs.production import PRODUCTION_TOPICS, production_corpus
 
 PAPER_ROWS = {
@@ -25,7 +25,6 @@ PAPER_ROWS = {
 
 
 def run(spark=None, *, target_mb: float = 8.0, train_sample: int = 20_000) -> list[dict]:
-    cfg = ParserConfig()
     rows = []
     for topic in PRODUCTION_TOPICS:
         pdf = production_corpus(topic, target_mb=target_mb)
@@ -36,12 +35,12 @@ def run(spark=None, *, target_mb: float = 8.0, train_sample: int = 20_000) -> li
             import pandas as pd
 
             sdf = spark.createDataFrame(pd.DataFrame({"message": sample}))
-            model = train_model(spark, sdf, cfg=cfg)
+            model = train_model(spark, sdf)
         else:
-            model = train_model_sequential(sample, cfg)
+            model = train_model_sequential(sample)
         train_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        match_sequential(pdf["message"].tolist(), model, cfg)
+        match_sequential(pdf["message"].tolist(), model)
         match_s = time.perf_counter() - t0
         rows.append(
             {

@@ -1,14 +1,14 @@
-"""Configuration for training, clustering and matching.
+"""Configuration for training and clustering.
 
 A setting exists only where the paper, or a deployment, needs more
-than one value: the query-time saturation threshold (§3 Query), the
-k-token prefix of initial grouping (§4.2), the memory bound of the
-sampling guard, and the §5.4 ablation switches. Everything else is a
-constant next to the function that reads it: the constant-position
-weight in ``distance``, the likely-variable bounds in ``saturation``,
-the saturation target and split caps in ``cluster``, and the group
-seed in ``train`` (DESIGN.md §2, §4). Common-variable replacement
-(§4.1.2) always runs.
+than one value: the k-token prefix of initial grouping (§4.2), the
+memory bound of the sampling guard, and the §5.4 ablation switches
+(matching reads none; its query threshold is an argument). Everything
+else is a constant next to the function that reads it: the
+constant-position weight in ``distance``, the likely-variable bounds in
+``saturation``, the saturation target and split caps in ``cluster``, and
+the group seed in ``train`` (DESIGN.md §2, §4). Common-variable
+replacement (§4.1.2) always runs.
 
 Every §5.4 ablation variant in the paper maps to one flag here:
 
@@ -54,20 +54,17 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class ParserConfig:
-    """End-to-end parser configuration (preprocess + train + match)."""
+    """Training configuration (preprocess + initial grouping + clustering)."""
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     #: first-k-token prefix for initial grouping (§4.2; paper default 0).
     prefix_k: int = 0
     #: deduplicate identical token sequences before clustering (§4.1.3).
     dedup: bool = True
-    #: assign training logs the template of the tree node they landed in
-    #: instead of re-matching against template texts ("w/ naive match");
-    #: sequential path only (``train_model`` rejects it).
+    #: record each training log's tree node in ``train_assignment``, which
+    #: ``match_sequential`` looks up before the template texts ("w/ naive
+    #: match"); sequential path only (``train_model`` rejects it).
     naive_match: bool = False
-    #: default query-time saturation threshold (§5.5.1 sweeps this; 0.8
-    #: sits on the stable plateau of our sensitivity sweep).
-    query_threshold: float = 0.8
     #: cap on unique logs per initial group fed to clustering (the
     #: paper's random-sampling OOM guard; generous default).
     max_unique_per_group: int = 50_000

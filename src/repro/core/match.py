@@ -20,8 +20,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.config import ParserConfig
-from repro.core.model import ParserModel, _SEP
+from repro.core.model import ParserModel
 from repro.core.tokenizer import preprocess_message
 
 #: executor-side model cache keyed by the model broadcast's id (unique
@@ -36,19 +35,19 @@ _NO_TOKENS = -2
 
 def _match_ids(
     lookup: Callable[[tuple[str, ...]], int],
-    messages: Iterable[str],
-    seen: dict[str, int],
+    messages: Iterable[str | None],
+    seen: dict[str | None, int],
     memo: dict[tuple[str, ...], int],
 ) -> list[int]:
-    """Node id per message, ``lookup(tokens)`` on a miss. Verdicts are
-    memoized per raw message (``seen``), then per token tuple (``memo``):
-    a repeated message skips preprocessing, a repeated token tuple the
-    lookup."""
+    """Node id per message (a null one has no tokens), ``lookup(tokens)``
+    on a miss. Verdicts are memoized per raw message (``seen``), then per
+    token tuple (``memo``): a repeated message skips preprocessing, a
+    repeated token tuple the lookup."""
     out = []
     for msg in messages:
         nid = seen.get(msg)
         if nid is None:
-            toks = tuple(preprocess_message(msg))
+            toks = tuple(preprocess_message(msg)) if msg else ()
             nid = memo.get(toks)
             if nid is None:
                 nid = memo[toks] = lookup(toks)
@@ -58,20 +57,19 @@ def _match_ids(
 
 
 def match_sequential(
-    messages: list[str],
+    messages: list[str | None],
     model: ParserModel,
-    cfg: ParserConfig | None = None,
     *,
     threshold: float | None = None,
     add_unmatched: bool = True,
 ) -> list[int]:
-    """Match each message; returns the node id per message, -1 for a
-    message without tokens and, when ``add_unmatched`` is off, for one
-    that matches nothing."""
-    cfg = cfg or ParserConfig()
+    """Match each message; returns the node id per message, -1 for a null
+    message or one without tokens and, when ``add_unmatched`` is off, for
+    one that matches nothing. The model's naive-match ``train_assignment``,
+    if any, is looked up before the template texts."""
 
     def lookup(toks: tuple[str, ...]) -> int:
-        nid = model.train_assignment.get(_SEP.join(toks), -1) if cfg.naive_match else -1
+        nid = model.train_assignment.get(toks, -1)
         if nid < 0:
             nid = model.match_tokens(toks)
         if nid < 0 and add_unmatched and toks:
@@ -102,7 +100,7 @@ def _executor_pass(
             m = ParserModel.from_json(blob.value)
             _MODEL_CACHE.clear()
             _MODEL_CACHE[key] = m
-        return run(m, {None: _NO_TOKENS}, {(): _NO_TOKENS}, batches)
+        return run(m, {}, {(): _NO_TOKENS}, batches)
 
     rows = df.select(*keep, col).coalesce(spark.sparkContext.defaultParallelism)
     return rows.mapInPandas(task, schema=schema)

@@ -1,15 +1,15 @@
 """The trained parser model: template tree, matching index, queries.
 
-The model stores only node metadata (template text, saturation,
+The model stores only node metadata (template tokens, saturation,
 parent/child links, counts) — exactly what the paper keeps in its
-internal topic (§3) — so it is small and JSON-serializable. Online
-matching (§4.8) never recomputes distances: logs are matched against
-template texts in descending saturation order. The index codes every
-template token with one vocabulary (a dict probe per log token, and
-exact token equality), keeps one inverted index per length bucket on
-the most discriminative token position, and scans a log's candidates in
-rank order, stopping at the first hit, so each log only inspects a
-handful of templates.
+internal topic (§3) — so it is small and JSON-serializable, each
+template as an array of its tokens. Online matching (§4.8) never
+recomputes distances: logs are matched against template texts in
+descending saturation order. The index codes every template token with
+one vocabulary (a dict probe per log token, and exact token equality),
+keeps one inverted index per length bucket on the most discriminative
+token position, and scans a log's candidates in rank order, stopping at
+the first hit, so each log only inspects a handful of templates.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from operator import itemgetter
 import numpy as np
 
 from repro.core.tokenizer import WILDCARD
-
-_SEP = "\x1f"
 
 
 def token_hash64(token: str) -> int:
@@ -116,9 +114,10 @@ class ParserModel:
         self.nodes: list[TemplateNode] = nodes or []
         self._buckets: dict[int, _LengthBucket] | None = None
         self._vocab: dict[str, int] = {}  # template token -> code, built with _buckets
-        #: optional training assignment for the "naive match" ablation:
-        #: exact token sequence -> nid of the clustering-tree node.
-        self.train_assignment: dict[str, int] = {}
+        #: training assignment of the "naive match" ablation: token tuple
+        #: -> nid of the clustering-tree node; in memory only, ``to_json``
+        #: does not write it.
+        self.train_assignment: dict[tuple[str, ...], int] = {}
 
     # -- construction -------------------------------------------------
     def add_node(self, *, saturation: float, **kw) -> TemplateNode:
@@ -186,7 +185,7 @@ class ParserModel:
         return json.dumps(
             {
                 "nodes": [
-                    [nd.parent, _SEP.join(nd.template), nd.saturation,
+                    [nd.parent, nd.template, nd.saturation,
                      nd.n_logs, nd.depth, nd.group_key]
                     for nd in self.nodes
                 ]
@@ -198,7 +197,7 @@ class ParserModel:
         model = cls()
         for parent, tmpl, sat, n_logs, depth, gk in json.loads(blob)["nodes"]:
             model.add_node(
-                parent=parent, template=tuple(tmpl.split(_SEP)), saturation=sat,
+                parent=parent, template=tuple(tmpl), saturation=sat,
                 n_logs=n_logs, depth=depth, group_key=gk,
             )
         return model

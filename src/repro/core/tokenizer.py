@@ -11,12 +11,10 @@ from collections.abc import Callable
 #: Listing 1, with the sentence-period group made non-capturing (a
 #: capturing group would leak the delimiter into ``re.split`` output).
 #: ``[ \t\n\x0B\f\r]`` is ASCII whitespace only (``\s`` would also
-#: split on Unicode spaces and ``\x1c``-``\x1e``) and ``(?![\s\S])`` the
+#: split on Unicode spaces and U+001C-U+001F) and ``(?![\s\S])`` the
 #: very end of the input (``$`` also matches before a final ``\n``).
-#: ``\x1f`` is a delimiter too (not in Listing 1): it is the separator
-#: templates are joined with, so no token may hold it.
 TOKENIZE_PATTERN = (
-    r"(?:://)|(?:(?:[ \t\n\x0B\f\r'\";=()\[\]{}?@&<>:,\x1f])"
+    r"(?:://)|(?:(?:[ \t\n\x0B\f\r'\";=()\[\]{}?@&<>:,])"
     r"|(?:[.](?:[ \t\n\x0B\f\r]+|(?![\s\S])))|(?:\\[\"']))+"
 )
 _TOKENIZE_RE = re.compile(TOKENIZE_PATTERN)

@@ -28,7 +28,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.cluster import TreeRow, build_tree
 from repro.core.config import ParserConfig
-from repro.core.model import ParserModel, hash_tokens, _SEP
+from repro.core.model import ParserModel, hash_tokens
 from repro.core.tokenizer import preprocess_message
 
 _TREE_SCHEMA = (
@@ -174,5 +174,5 @@ def train_model_sequential(
                     if cur is None or r.depth >= cur[0]:
                         deepest[int(u)] = (r.depth, i)
             for u, (_, i) in deepest.items():
-                model.train_assignment[_SEP.join(texts[u])] = root + i
+                model.train_assignment[texts[u]] = root + i
     return model

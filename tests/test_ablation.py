@@ -16,7 +16,7 @@ def corpus():
 def ga_with(pdf, cfg: ParserConfig) -> float:
     msgs = pdf["message"].tolist()
     model = train_model_sequential(msgs, cfg)
-    nids = match_sequential(msgs, model, cfg, threshold=cfg.query_threshold)
+    nids = match_sequential(msgs, model, threshold=0.8)
     return grouping_accuracy(nids, pdf["template_id"].tolist())
 
 

@@ -1,11 +1,13 @@
 """Golden model digests: a kernel change that is meant to be a pure
 performance change must leave every trained model byte-identical.
 
-The digests are ``sha256(ParserModel.to_json())`` recorded before the
-clustering kernel was vectorised (one-pass node statistics, one
-``bincount`` per cluster for Eq. 2). ``naive_match`` only adds the
-training assignment, which ``to_json`` does not serialize, so that case
-pins a digest of the assignment too. ``web-access-high`` (recorded
+The digests are ``sha256(ParserModel.to_json())``, first recorded before
+the clustering kernel was vectorised (one-pass node statistics, one
+``bincount`` per cluster for Eq. 2) and re-recorded, with every node
+unchanged, when templates went from separator-joined strings to JSON
+arrays. ``naive_match`` only adds the training assignment, which
+``to_json`` does not serialize, so that case pins a digest of the
+assignment (token tuple -> node id) too. ``web-access-high`` (recorded
 before training computed each node's statistics once) is one length
 group of all-unique access lines clustered as a single tree: it pins the
 independence filter on many rows and the reuse of the
@@ -39,51 +41,51 @@ CORPORA = {
 
 GOLDEN = {
     "HDFS": {
-        "default": "bda0a2798a568d776f2d96abca4d0e45cffa94a14f7423df51b33a53e628de63",
-        "prefix_k=1": "0a203a49b001ca800bda03df6a435a2dcb7004f637ae7ef7a6d77593842b952b",
-        "early_stop=False": "bda0a2798a568d776f2d96abca4d0e45cffa94a14f7423df51b33a53e628de63",
-        "dedup=False": "bda0a2798a568d776f2d96abca4d0e45cffa94a14f7423df51b33a53e628de63",
-        "variable_credit=False": "563983fac3b5ab240eb4d0a3d78d4d7552b9976d1ab79bb44a11157978a9f69e",
+        "default": "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
+        "prefix_k=1": "6a3ba40cfcb96646623666665e443b4f9d16c6e78dacb9ce845386ed3bc26ece",
+        "early_stop=False": "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
+        "dedup=False": "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
+        "variable_credit=False": "cbbe4fc42aae6bcdd48e81c3e23799d3c6d4396edd28ed8591dc8c05ab3bd8ea",
         "naive_match=True": (
-            "bda0a2798a568d776f2d96abca4d0e45cffa94a14f7423df51b33a53e628de63",
-            "72ffbbb4f56e7bc2ae5bb6d475bd26b871c270dd3d29a2deacb6d5102959580e",
+            "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
+            "1578ade730b1bd9e76b9b22450596864390f7415d993943d69589ddd47128d8e",
         ),
     },
     "Zookeeper": {
-        "default": "433446c15d95b6a5e7bcd50a3befaf40d7e957a2846bd769b9e683f10e2b591e",
-        "prefix_k=1": "dba68a3aaacd16c21b01e718eb67f5cf96812bdf0d10a29ef0620824cf5835c3",
-        "early_stop=False": "5ae36f9a7776f018c048fccd98ea5f2458baee8082308d8294a2328edea93906",
-        "dedup=False": "bbad5696748cf39d6029c915a4bcd61ca7cdd9c83dc309666fbad88d2fc7449a",
-        "variable_credit=False": "131ccccceebd8b18d49378a69d14b61f634ca9762ee2816c63f127017c4fdeb5",
+        "default": "f543938580e23ceb98beed3ce19761d77935c4cabef8a412c1fa9ee50fc9caf0",
+        "prefix_k=1": "c3ab693550100296deaf80aa493bec3caf7150d39a72e7e9e3b466b0076a813d",
+        "early_stop=False": "6a84b6ffc439e7b2a56da9c18417a0a67b13ff4f1790463f30eb3f7abcafe983",
+        "dedup=False": "6c23e3c9052fd9d880fd4dcd8537506ea4c5d68ccc09c4604e4ce2a28e4e14c9",
+        "variable_credit=False": "05d3bf7ba365419c0352a4ca4bad27650775fb372fa859be4b1e595dcdea562a",
         "naive_match=True": (
-            "433446c15d95b6a5e7bcd50a3befaf40d7e957a2846bd769b9e683f10e2b591e",
-            "a5da60b98684f3276032aed1e42894e469b8167880d8b8f154de428d7d1596e6",
+            "f543938580e23ceb98beed3ce19761d77935c4cabef8a412c1fa9ee50fc9caf0",
+            "9ff6a26a01be8953621d41ed6525d53e6091540563feac0aa47537d85159338f",
         ),
     },
     "Hadoop": {
-        "default": "1d694b85d0ec96a754171dbee0c469a1d4e41d9b84c4918061f98ef7c77a10e5",
-        "prefix_k=1": "df9972089633e2820f59c81522887f31f8ccd291740df5926c22b6b3f56ae9f4",
-        "early_stop=False": "b60b72a8d353be54a8b1d59c27c949148e48f21401e45256d933ebb33980c41c",
-        "dedup=False": "b71df3279bd81d8056e11a28ceea5ccfc3a04c653e0186218bd7bea5495dd9ff",
-        "variable_credit=False": "136ff0dbc551340efaf4d4c2f9e58f2ebff0e968d1e246f7827817420ceb0679",
+        "default": "20261f027a39b5b55d25a6760ca01fd60b6acd965f0b27841893f8c6644adf60",
+        "prefix_k=1": "454e76fe7ae17ad854dab726205e47a0c491c9fd355e4223e7bb02ddf84c69ef",
+        "early_stop=False": "47f7804e3366942c3784902337143f41348c666784be956e71b4d4bd13ca820d",
+        "dedup=False": "f67b8d7494e2444c883e25c33f01be3416acbc997faed78984d3a10e16b836db",
+        "variable_credit=False": "617efbe3ec98cc11323e1eb8cd3cea0b97bb9c8e136a73e4b7a37c129d589665",
         "naive_match=True": (
-            "1d694b85d0ec96a754171dbee0c469a1d4e41d9b84c4918061f98ef7c77a10e5",
-            "ad8e07d42eb9142825a32296fd2e342ddd3152d6ecfbbff0de667695ba3650a2",
+            "20261f027a39b5b55d25a6760ca01fd60b6acd965f0b27841893f8c6644adf60",
+            "4e4bf07ba119a75c7bb9bddaf8986e6394fe9c972b83d8eddb14cdb302b7a892",
         ),
     },
     "Mac": {
-        "default": "59a4c46353be54fd016aed25940a597d2810cdd7a1d70fad9dd0fe738b78235e",
-        "prefix_k=1": "aaef16944f6a9665727bd181cec7a15ce219b79b5de0eb6b770d03c5d9224860",
-        "early_stop=False": "aabc49ff81cc0f4786cebcde4ddaa16931f182b27c4a57abe6fc34eac031c5d2",
-        "dedup=False": "c0d7a8047bcc093cdbc5de5cd825043a3e7eac8c75d5817e145267e96e4365c9",
-        "variable_credit=False": "7bbefd2e0ecb21804ddcf0a92fa2b14b906492b2b4e47955bf0f9483d223562d",
+        "default": "3e7d8bf508d91606c528d951f8c6cd442be272330de48b1b7ddb4a0e64cd1ad7",
+        "prefix_k=1": "109dff9dae144f54b286afc6d84cc08c10a492fef3148ee7cdd5e997e2427a5f",
+        "early_stop=False": "872151dee1354e89cdd85c2d50b15a3519a2481d0a68b9830d8b8e95423af3c4",
+        "dedup=False": "1577a0d7a1a7f5c3b3258a7878d2a192b571c7a4dcf44fcb69deb74d3285ae63",
+        "variable_credit=False": "b50fcfd30c3bd2c4d997c32a0d8df2861f21f52b52c885a62d19326009d16661",
         "naive_match=True": (
-            "59a4c46353be54fd016aed25940a597d2810cdd7a1d70fad9dd0fe738b78235e",
-            "cddd441386bb3be6261b4f10ce3b2edfa5f72d6b6215d8dc6974f1a3957f8bee",
+            "3e7d8bf508d91606c528d951f8c6cd442be272330de48b1b7ddb4a0e64cd1ad7",
+            "ba932edb72381d078854ed3d3a70cb85eb49c5d9b51effffc58211aa6f47d63d",
         ),
     },
     "web-access-high": {
-        "default": "6b894b9f41eb60bf9c94e69b735299b21b74c153b68f1bca442c3e178f31a61e",
+        "default": "3a5062cd3fe8abbae1fd4ac30c754474f70cd5e767d1c959a7487838a901bfe1",
     },
 }
 

@@ -145,7 +145,7 @@ def match_digest(msgs: list[str], case: str) -> tuple[str, int]:
     model = train_model_sequential(msgs[: int(len(msgs) * share)], cfg)
     ids: list[int] = []
     for i in range(0, len(msgs), 100):
-        ids += match_sequential(msgs[i : i + 100], model, cfg, threshold=threshold)
+        ids += match_sequential(msgs[i : i + 100], model, threshold=threshold)
     return hashlib.sha256(json.dumps(ids).encode()).hexdigest(), len(model.nodes)
 
 

@@ -10,7 +10,7 @@ from repro.core.model import ParserModel
 from repro.core.tokenizer import WILDCARD
 from tests.match_reference import reference_match
 
-#: template tokens: the wildcard, the internal separator and the empty string included
+#: template tokens: the wildcard, a control character and the empty string included
 TEMPLATE_TOKENS = ["a", "b", "c", WILDCARD, "x\x1fy", ""]
 #: log tokens: the above plus tokens no template of the first bank holds
 LOG_TOKENS = TEMPLATE_TOKENS + ["zz", "\x1f"]

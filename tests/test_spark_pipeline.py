@@ -257,15 +257,14 @@ class TestMatchDF:
         0.7999999999999999 and whose JSON copy reads 0.8."""
         linux = loghub_lite("Linux")[0]
         for df, pdf in [corpus, (to_spark(spark, linux), linux)]:
-            cfg = ParserConfig()
-            model = train_model(spark, df, cfg=cfg)
+            model = train_model(spark, df)
             out = (
                 match_df(spark, df, model, threshold=0.8)
                 .toPandas()
                 .sort_values("log_id")
             )
             seq = match_sequential(
-                pdf["message"].tolist(), model, cfg, threshold=0.8, add_unmatched=False
+                pdf["message"].tolist(), model, threshold=0.8, add_unmatched=False
             )
             texts_spark = out["template"].tolist()
             texts_seq = [model.nodes[i].text() if i >= 0 else "" for i in seq]

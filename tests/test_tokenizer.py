@@ -23,7 +23,7 @@ class TestTokenize:
     def test_multiple_delimiters_collapse(self):
         assert tokenize("a,,  b;;c") == ["a", "b", "c"]
 
-    @pytest.mark.parametrize("delim", list(",;=()[]{}?@&<>:") + ["\t", "\n", "\r", "\x1f"])
+    @pytest.mark.parametrize("delim", list(",;=()[]{}?@&<>:") + ["\t", "\n", "\r"])
     def test_each_delimiter(self, delim):
         assert tokenize(f"a{delim}b") == ["a", "b"]
 

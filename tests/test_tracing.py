@@ -7,11 +7,12 @@ a traced function, moves a call out of a namespace the tracer patches
 tokens matrix) fails here, not only in a ``perfbench/run.py --trace 1``
 run."""
 import importlib
+import inspect
 
 import repro.core.cluster as cluster
 import repro.core.train as train
 from perfbench.tracing import FUNCTIONS, METHODS, Tracer, kernel_metrics
-from repro.core import ParserModel, match_sequential, train_model_sequential
+from repro.core import ParserModel, match_df, match_sequential, train_model, train_model_sequential
 from repro.core.tokenizer import preprocess_message
 from repro.logs import loghub_lite
 
@@ -34,6 +35,21 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
     for attr in METHODS:
         assert callable(ParserModel.__dict__.get(attr)), attr
+
+
+def test_benchmark_calls_bind():
+    """Every call ``perfbench/run.py`` makes into the program binds to the
+    program's signatures, so a signature change that would break the
+    benchmark's runs fails here."""
+    calls = [
+        (train_model_sequential, ("msgs",), {}),
+        (match_sequential, ("stream", "model"), {"threshold": 0.8}),
+        (train_model, ("spark", "df"), {}),
+        (match_df, ("spark", "df", "model"), {"threshold": 0.8}),
+        (ParserModel.from_json, ("blob",), {}),
+    ]
+    for f, args, kwargs in calls:
+        inspect.signature(f).bind(*args, **kwargs)
 
 
 def test_traced_pass_reports_layers():

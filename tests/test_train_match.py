@@ -13,6 +13,7 @@ import repro.core.train as train
 from repro.core import (
     ParserConfig,
     ParserModel,
+    match_df,
     match_sequential,
     train_model,
     train_model_sequential,
@@ -63,19 +64,28 @@ class TestTrain:
         model = train_model_sequential(["alpha x1 y", "beta x2 y"], cfg)
         assert len({nd.group_key for nd in model.nodes}) == 2
 
-    def test_separator_in_message(self):
-        """``\\x1f`` joins template tokens (``to_json``, Spark tree rows):
-        it is a delimiter, so templates keep their group's token count."""
+    def test_separator_in_message(self, spark):
+        """A token may hold any character, ``\\x1f`` (a control character,
+        not a Listing-1 delimiter) included: the model's JSON keeps each
+        template as an array of tokens, so a saved model gives every
+        template back unchanged, and each log still matches its own leaf
+        on the JSON copy and through ``match_df``."""
         msgs = ["user a\x1fb logged in", "user c\x1fd logged in", "user e logged out"] * 3
+        assert preprocess_message(msgs[0]) == ["user", "a\x1fb", "logged", "in"]
         model = train_model_sequential(msgs)
         for nd in model.nodes:
             assert len(nd.template) == int(nd.group_key.split("|")[0])
-        parents = {nd.parent for nd in model.nodes}
-        for msg in msgs:
-            nid = model.match_tokens(tuple(preprocess_message(msg)))
-            assert nid >= 0 and nid not in parents  # its own leaf
         loaded = ParserModel.from_json(model.to_json())
         assert [nd.template for nd in loaded.nodes] == [nd.template for nd in model.nodes]
+        leaves = []
+        for msg in msgs:
+            toks = tuple(preprocess_message(msg))
+            nid = loaded.match_tokens(toks)
+            assert loaded.nodes[nid].template == toks  # its own leaf
+            leaves.append(nid)
+        df = spark.createDataFrame(pd.DataFrame({"message": msgs, "log_id": range(len(msgs))}))
+        out = match_df(spark, df, model).toPandas().sort_values("log_id")
+        assert out["template_id"].tolist() == leaves
 
     def test_counts_accumulate(self):
         model = train_model_sequential(SET1 * 3)
@@ -111,8 +121,9 @@ class TestMatch:
         # A second occurrence now matches the temp template.
         nids2 = match_sequential(["totally different log line here"], model)
         assert nids2[0] == before
-        # A message without tokens has nothing to absorb.
-        assert match_sequential([" ,; "], model) == [-1]
+        # A null message or one without tokens has nothing to absorb.
+        assert match_sequential([" ,; ", None], model) == [-1, -1]
+        assert len(model.nodes) == before + 1
 
     def test_threshold_coarsens(self):
         model = train_model_sequential(SET2)
@@ -123,9 +134,8 @@ class TestMatch:
 
     def test_ga_on_dataset(self):
         pdf, _ = loghub_lite("HDFS")
-        cfg = ParserConfig()
-        model = train_model_sequential(pdf["message"].tolist(), cfg)
-        nids = match_sequential(pdf["message"].tolist(), model, cfg, threshold=cfg.query_threshold)
+        model = train_model_sequential(pdf["message"].tolist())
+        nids = match_sequential(pdf["message"].tolist(), model, threshold=0.8)
         assert grouping_accuracy(nids, pdf["template_id"].tolist()) > 0.8
 
 
@@ -135,31 +145,39 @@ class TestNaiveMatchAblation:
         model = train_model_sequential(SET2, cfg)
         assert len(model.train_assignment) == 3
         parents = {nd.parent for nd in model.nodes}
-        for text, nid in model.train_assignment.items():
-            # The deepest node holding the log: the leaf of its own text.
+        for toks, nid in model.train_assignment.items():
+            # The deepest node holding the log: the leaf of its own tokens.
             assert nid not in parents
-            assert "\x1f".join(model.nodes[nid].template) == text
+            assert model.nodes[nid].template == toks
+
+    def test_naive_assignment_stays_in_memory(self):
+        """``to_json`` does not write the training assignment: the JSON
+        copy matches by template text, as the model does without it."""
+        msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+        model = train_model_sequential(msgs[:300], ParserConfig(naive_match=True))
+        assert model.train_assignment
+        loaded = ParserModel.from_json(model.to_json())
+        assert loaded.train_assignment == {}
+        text_only = copy.deepcopy(model)
+        text_only.train_assignment.clear()
+        assert match_sequential(msgs, loaded, threshold=0.8) == match_sequential(
+            msgs, text_only, threshold=0.8
+        )
 
     def test_naive_vs_text_match_close(self):
         """§5.4.1: text matching ≈ training assignment (GA within 5%)."""
         pdf, _ = loghub_lite("Zookeeper")
         msgs = pdf["message"].tolist()
         gt = pdf["template_id"].tolist()
-        cfg_n = ParserConfig(naive_match=True)
-        m_n = train_model_sequential(msgs, cfg_n)
-        for text, nid in m_n.train_assignment.items():
+        m_n = train_model_sequential(msgs, ParserConfig(naive_match=True))
+        for toks, nid in m_n.train_assignment.items():
             # Each log's node, in whichever group, holds it.
-            toks, tmpl = text.split("\x1f"), m_n.nodes[nid].template
+            tmpl = m_n.nodes[nid].template
             assert len(tmpl) == len(toks)
             assert all(t in (WILDCARD, tok) for t, tok in zip(tmpl, toks))
-        ga_naive = grouping_accuracy(
-            match_sequential(msgs, m_n, cfg_n, threshold=0.8), gt
-        )
-        cfg_t = ParserConfig()
-        m_t = train_model_sequential(msgs, cfg_t)
-        ga_text = grouping_accuracy(
-            match_sequential(msgs, m_t, cfg_t, threshold=0.8), gt
-        )
+        ga_naive = grouping_accuracy(match_sequential(msgs, m_n, threshold=0.8), gt)
+        m_t = train_model_sequential(msgs)
+        ga_text = grouping_accuracy(match_sequential(msgs, m_t, threshold=0.8), gt)
         assert abs(ga_naive - ga_text) < 0.05
 
 
@@ -236,8 +254,8 @@ class TestComputeOnce:
         model = train_model_sequential(msgs[:200], cfg)
         batch = msgs[200:600]
         alone = copy.deepcopy(model)
-        want = [match_sequential([m], alone, cfg, threshold=threshold)[0] for m in batch]
-        assert match_sequential(batch, model, cfg, threshold=threshold) == want
+        want = [match_sequential([m], alone, threshold=threshold)[0] for m in batch]
+        assert match_sequential(batch, model, threshold=threshold) == want
         assert len(model.nodes) == len(alone.nodes)
 
     # Mac: a split whose injected one-log cluster overlaps a sibling, so
