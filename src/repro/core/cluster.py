@@ -150,11 +150,14 @@ def split_node(
 
     prev_assign: np.ndarray | None = None
     sims = sims_for(clusters)
-    for _ in range(MAX_ITERS):
+    for it in range(MAX_ITERS):
         assign = _assign(sims, rng, cfg.balanced)
         clusters = [c for j in range(sims.shape[1]) if len(c := np.flatnonzero(assign == j))]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
-            if not cfg.ensure_sat_increase or len(clusters) >= min(n, MAX_CLUSTERS):
+            # No injection in the last round: without a reassignment after
+            # it, the injected log would also stay in its old cluster.
+            if (not cfg.ensure_sat_increase or len(clusters) >= min(n, MAX_CLUSTERS)
+                    or it + 1 == MAX_ITERS):
                 break
             # Converged: inject a new cluster if some multi-log cluster
             # failed to improve on the parent's saturation (§4.4).

@@ -5,10 +5,13 @@ clustering distances): per length bucket, candidates are scanned in
 descending saturation order with an equal-or-wildcard position test.
 Every path runs one per-message loop, ``_match_ids``: a verdict memo per
 raw message, ``preprocess_message``, a verdict memo per token tuple,
-then the index. The Spark path is one stage without a shuffle: one
-``mapInPandas`` task per core runs that loop with the model broadcast to
-executors and attaches each matched id's threshold ancestor and text. A
-global dedup plus join back costs two shuffles, and each Python task a
+then the index. Both matchers give a null message, one without tokens
+and (without ``add_unmatched``) one that matches nothing the id -1.
+
+The Spark path is one stage without a shuffle: one ``mapInPandas`` task
+per core loads the broadcast JSON model, builds its index once, runs
+that loop and attaches each matched id's threshold ancestor and text.
+A global dedup plus join back costs two shuffles, and each Python task a
 fixed start-up cost that outweighs small inputs' matching work.
 Logs that match nothing become temporary singleton templates (§3).
 """
@@ -16,21 +19,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.model import ParserModel
 from repro.core.tokenizer import preprocess_message
-
-#: executor-side model cache keyed by the model broadcast's id (unique
-#: within a SparkContext, unlike the id() of a collectable string), so
-#: the matching index is built once per executor, not once per task.
-_MODEL_CACHE: dict[int, ParserModel] = {}
-
-#: Spark tasks' verdict for a null message or one without tokens; such
-#: rows are left out of ``match_df``'s output.
-_NO_TOKENS = -2
 
 
 def _match_ids(
@@ -85,82 +78,67 @@ def match_sequential(
 
 def _executor_pass(
     spark: SparkSession, df: DataFrame, model: ParserModel,
-    col: str, keep: list[str], run: Callable, schema: str,
+    cols: list[str], run: Callable, schema: str,
 ) -> DataFrame:
-    """``run(executor_model, seen, memo, batches)`` as one ``mapInPandas``
-    over the ``(*keep, col)`` rows, one partition per core, with fresh
-    ``_match_ids`` memos per task that give null and token-less messages
-    ``_NO_TOKENS``."""
+    """``run(executor_model, batches)`` as one ``mapInPandas`` over the
+    ``cols`` of ``df``, one partition per core. Each task loads its own
+    copy of the broadcast JSON model."""
     blob = spark.sparkContext.broadcast(model.to_json())
-    key = blob._jbroadcast.id()  # pyspark exposes the id only via the JVM handle
 
     def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        m = _MODEL_CACHE.get(key)
-        if m is None:
-            m = ParserModel.from_json(blob.value)
-            _MODEL_CACHE.clear()
-            _MODEL_CACHE[key] = m
-        return run(m, {}, {(): _NO_TOKENS}, batches)
+        return run(ParserModel.from_json(blob.value), batches)
 
-    rows = df.select(*keep, col).coalesce(spark.sparkContext.defaultParallelism)
+    rows = df.select(*cols).coalesce(spark.sparkContext.defaultParallelism)
     return rows.mapInPandas(task, schema=schema)
 
 
 def match_df(
-    spark: SparkSession,
-    df: DataFrame,
-    model: ParserModel,
-    *,
-    col: str = "message",
-    id_col: str = "log_id",
-    threshold: float | None = None,
+    spark: SparkSession, df: DataFrame, model: ParserModel, *, threshold: float | None = None
 ) -> DataFrame:
-    """Spark online matching.
+    """Spark online matching of a ``(log_id, message)`` frame.
 
-    Returns ``(id_col, template_id, template)`` per message with tokens,
-    ``template_id`` the matched node id (-1 for unmatched — call
-    ``add_unmatched_df`` to absorb those as temporary templates first if
-    desired).
+    Returns one ``(log_id, template_id, template)`` row per input row,
+    as ``match_sequential(..., add_unmatched=False)`` numbers them:
+    ``template_id`` is the matched node id, -1 and ``""`` for a null
+    message, one without tokens or one that matches nothing (call
+    ``add_unmatched_df`` first to absorb those as temporary templates).
     """
 
-    def run(
-        m: ParserModel, seen: dict, memo: dict, batches: Iterator[pd.DataFrame]
-    ) -> Iterator[pd.DataFrame]:
+    def run(m: ParserModel, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        seen: dict[str | None, int] = {}
+        memo: dict[tuple[str, ...], int] = {}
         verdicts: dict[int, tuple[int, str]] = {-1: (-1, "")}
         for pdf in batches:
-            nids = np.array(_match_ids(m.match_tokens, pdf[col], seen, memo), dtype=np.int64)
-            has_tokens = nids != _NO_TOKENS
-            nids = nids[has_tokens].tolist()
+            nids = _match_ids(m.match_tokens, pdf["message"], seen, memo)
             for nid in set(nids).difference(verdicts):
                 tid = nid if threshold is None else m.ancestor_at(nid, threshold)
                 verdicts[nid] = (tid, m.nodes[tid].text())
             out = pd.DataFrame([verdicts[nid] for nid in nids], columns=["template_id", "template"])
-            out.insert(0, id_col, pdf[id_col].to_numpy()[has_tokens])
+            out.insert(0, "log_id", pdf["log_id"].to_numpy())
             yield out
 
-    id_type = df.schema[id_col].dataType.simpleString()
-    schema = f"`{id_col}` {id_type}, template_id long, template string"
-    return _executor_pass(spark, df, model, col, [id_col], run, schema)
+    id_type = df.schema["log_id"].dataType.simpleString()
+    schema = f"log_id {id_type}, template_id long, template string"
+    return _executor_pass(spark, df, model, ["log_id", "message"], run, schema)
 
 
-def add_unmatched_df(
-    spark: SparkSession, df: DataFrame, model: ParserModel, *, col: str = "message"
-) -> int:
-    """Absorb logs that match no template as temporary templates (§3).
-    Returns how many temporary templates were added. Executors return
-    the distinct token tuples that matched nothing; the driver re-checks
-    each, in sorted order, against the growing model, because a temporary
-    template holding a literal ``*`` can absorb a later tuple."""
+def add_unmatched_df(spark: SparkSession, df: DataFrame, model: ParserModel) -> int:
+    """Absorb logs of the ``message`` column that match no template as
+    temporary templates (§3). Returns how many temporary templates were
+    added. Executors return the distinct token tuples that matched
+    nothing; the driver re-checks each, in sorted order, against the
+    growing model, because a temporary template holding a literal ``*``
+    can absorb a later tuple."""
 
-    def run(
-        m: ParserModel, seen: dict, memo: dict, batches: Iterator[pd.DataFrame]
-    ) -> Iterator[pd.DataFrame]:
+    def run(m: ParserModel, batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        seen: dict[str | None, int] = {}
+        memo: dict[tuple[str, ...], int] = {}
         for pdf in batches:
-            _match_ids(m.match_tokens, pdf[col], seen, memo)
-        unmatched = [list(t) for t, nid in memo.items() if nid == -1]
+            _match_ids(m.match_tokens, pdf["message"], seen, memo)
+        unmatched = [list(t) for t, nid in memo.items() if nid == -1 and t]
         yield pd.DataFrame({"tokens": pd.Series(unmatched, dtype=object)})
 
-    rows = _executor_pass(spark, df, model, col, [], run, "tokens array<string>").collect()
+    rows = _executor_pass(spark, df, model, ["message"], run, "tokens array<string>").collect()
     added = 0
     for toks in sorted({tuple(r["tokens"]) for r in rows}):
         if model.match_tokens(toks) < 0:

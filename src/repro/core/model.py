@@ -110,8 +110,8 @@ class _LengthBucket:
 class ParserModel:
     """Trained ByteBrain model: nodes + lazy matching index."""
 
-    def __init__(self, nodes: list[TemplateNode] | None = None):
-        self.nodes: list[TemplateNode] = nodes or []
+    def __init__(self):
+        self.nodes: list[TemplateNode] = []
         self._buckets: dict[int, _LengthBucket] | None = None
         self._vocab: dict[str, int] = {}  # template token -> code, built with _buckets
         #: training assignment of the "naive match" ablation: token tuple

@@ -146,9 +146,7 @@ def saturation(
     fully-resolved nodes, strictly below 1.0 otherwise. ``stats`` and
     ``masks`` are the node's ``node_stats`` and ``resolved_masks`` when
     the caller already has them."""
-    n, m = mat.shape
-    if n <= 1 or m == 0:
-        return 1.0
+    m = mat.shape[1]
     if stats is None:
         stats = node_stats(mat, counts)
     nu, _topc, n_w = stats

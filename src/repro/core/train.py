@@ -115,19 +115,19 @@ def _assemble(tree_rows: pd.DataFrame) -> ParserModel:
 
 
 def train_model(
-    spark: SparkSession, df: DataFrame, *, col: str = "message", cfg: ParserConfig | None = None
+    spark: SparkSession, df: DataFrame, *, cfg: ParserConfig | None = None
 ) -> ParserModel:
-    """Spark offline training: returns the template-tree model. One
-    ``mapInPandas`` task per core preprocesses and keys its messages,
-    then one shuffle brings each initial group to an ``applyInPandas``
-    task. The "w/ naive match" ablation needs the training assignment,
-    which only ``train_model_sequential`` records."""
+    """Spark offline training of the ``message`` column: returns the
+    template-tree model. One ``mapInPandas`` task per core preprocesses
+    and keys its messages, then one shuffle brings each initial group to
+    an ``applyInPandas`` task. The "w/ naive match" ablation needs the
+    training assignment, which only ``train_model_sequential`` records."""
     cfg = cfg or ParserConfig()
     if cfg.naive_match:
         raise ValueError("naive_match is a sequential-path ablation: use train_model_sequential")
 
     def preprocess(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        msgs = chain.from_iterable(pdf[col] for pdf in batches)
+        msgs = chain.from_iterable(pdf["message"] for pdf in batches)
         rows = [(gk, list(toks), cnt) for gk, toks, cnt in _keyed_tokens(msgs, cfg)]
         yield pd.DataFrame(rows, columns=["group_key", "tokens", "cnt"])
 
@@ -141,7 +141,7 @@ def train_model(
              for i, r in enumerate(rows)]
         )
 
-    keyed = df.select(col).coalesce(spark.sparkContext.defaultParallelism).mapInPandas(
+    keyed = df.select("message").coalesce(spark.sparkContext.defaultParallelism).mapInPandas(
         preprocess, schema="group_key string, tokens array<string>, cnt long"
     )
     trees = keyed.groupBy("group_key").applyInPandas(run_group, schema=_TREE_SCHEMA)
@@ -166,13 +166,9 @@ def train_model_sequential(
         root = _add_tree(model, gk, rows)
         if cfg.naive_match:
             # Deepest node containing each unique log = its training
-            # assignment (the "w/ naive match" ablation, §5.4.1).
-            deepest: dict[int, tuple[int, int]] = {}
+            # assignment (the "w/ naive match" ablation, §5.4.1). Rows
+            # are in preorder, so a log's last node is its deepest.
             for i, r in enumerate(rows):
-                for u in r.rows:
-                    cur = deepest.get(int(u))
-                    if cur is None or r.depth >= cur[0]:
-                        deepest[int(u)] = (r.depth, i)
-            for u, (_, i) in deepest.items():
-                model.train_assignment[texts[u]] = root + i
+                for u in r.rows.tolist():
+                    model.train_assignment[texts[u]] = root + i
     return model

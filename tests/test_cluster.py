@@ -2,10 +2,14 @@
 import numpy as np
 import pytest
 
+import repro.core.cluster as cluster
+import repro.core.train as train
+from repro.core import train_model_sequential
 from repro.core.cluster import build_tree, factorize, split_node
 from repro.core.config import ClusterConfig
 from repro.core.model import hash_tokens
 from repro.core.saturation import node_stats, resolved_masks, saturation
+from repro.logs import loghub_lite
 
 CFG = ClusterConfig()
 
@@ -35,6 +39,16 @@ def split_root(codes, vocab, cnt, parent_sat):
     rows = np.arange(len(codes))
     rng = np.random.default_rng(0)
     return split_node(codes, vocab, cnt, rows, parent_sat, CFG, rng, evaluate)
+
+
+def assert_children_partition(tree):
+    """Each node's children's unique logs concatenate, sorted, to exactly
+    its own: no log is lost and none sits in two siblings."""
+    by_parent: dict[int, list] = {}
+    for r in tree[1:]:
+        by_parent.setdefault(r.parent, []).append(r.rows)
+    for parent, parts in by_parent.items():
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), tree[parent].rows)
 
 
 SET2 = [
@@ -74,13 +88,25 @@ class TestTreeInvariants:
         assert rows[0].n_logs == 6
 
     def test_children_partition_parent(self):
-        tree = tree_of(SET2 + [["UserService", "createUser", "token", "zzz", "success"]])
-        by_parent: dict[int, list] = {}
-        for r in tree[1:]:
-            by_parent.setdefault(r.parent, []).append(r)
-        for parent, children in by_parent.items():
-            got = np.sort(np.concatenate([c.rows for c in children]))
-            np.testing.assert_array_equal(got, np.sort(tree[parent].rows))
+        assert_children_partition(tree_of(SET2 + [["UserService", "createUser", "token", "zzz", "success"]]))
+
+    @pytest.mark.parametrize("name", ["Mac", "Thunderbird", "Hadoop", "BGL"])
+    def test_children_partition_parent_on_corpora(self, monkeypatch, name):
+        """Every tree trained on these corpora is an exact partition. The
+        ensure-saturation-increase check injects no cluster in a split's
+        last round, where the injected log would stay in its old cluster
+        too (before, each of these corpora had such a split)."""
+        trees = []
+
+        def build_tree(*args, **kwargs):
+            trees.append(cluster.build_tree(*args, **kwargs))
+            return trees[-1]
+
+        monkeypatch.setattr(train, "build_tree", build_tree)
+        train_model_sequential(loghub_lite(name)[0]["message"].tolist())
+        assert trees
+        for tree in trees:
+            assert_children_partition(tree)
 
     def test_saturation_monotone_down(self):
         pdfrows = [f"svc op{i%4} val{i} ok".split() for i in range(40)]

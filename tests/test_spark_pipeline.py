@@ -117,31 +117,42 @@ class TestSparkPreprocessing:
         )
 
     def test_blank_and_null_messages_skipped(self, spark):
+        """Training skips null and blank messages; matching gives them -1
+        and an empty template, as ``match_sequential`` does."""
         msgs = ["a b c", None, "a b d", "", "  ", " ,; ", "x y"]
         pdf = pd.DataFrame({"message": pd.Series(msgs, dtype=object), "log_id": range(len(msgs))})
         df = spark.createDataFrame(pdf, "message string, log_id long")
         model = train_model(spark, df)
         assert sum(nd.n_logs for nd in model.nodes if nd.parent < 0) == 3
-        out = match_df(spark, df, model).toPandas()
-        assert sorted(out["log_id"]) == [0, 2, 6]
-        assert (out["template_id"] >= 0).all()
+        out = match_df(spark, df, model).toPandas().sort_values("log_id")
+        assert out["log_id"].tolist() == list(range(len(msgs)))
+        assert [tid >= 0 for tid in out["template_id"]] == [True, False, True, False, False, False, True]
+        assert out["template_id"].tolist() == match_sequential(msgs, model, add_unmatched=False)
+        assert [t for tid, t in zip(out["template_id"], out["template"]) if tid < 0] == [""] * 4
 
     def test_edge_messages_equal_sequential(self, spark):
-        """``match_df`` gives every message with tokens the id and text
-        ``match_sequential`` gives it, and leaves out the rest."""
-        msgs = EDGE_MESSAGES + _parity_messages(3000)
+        """``match_df`` gives every row the id and text ``match_sequential``
+        gives its message, at the leaves and at a threshold: -1 and ``""``
+        for a null or blank message and for one that matches nothing."""
+        msgs = EDGE_MESSAGES + _parity_messages(3000) + [None, "", "  ", " ,; "]
         model = train_model_sequential(msgs[: len(msgs) // 2])
-        df = spark.createDataFrame(pd.DataFrame({"message": msgs, "log_id": range(len(msgs))}))
-        out = match_df(spark, df, model).toPandas().sort_values("log_id")
-        seq = match_sequential(msgs, model, add_unmatched=False)
-        kept = [i for i, m in enumerate(msgs) if preprocess_message(m)]
-        assert len(kept) < len(msgs)
-        assert -1 in seq and max(seq) >= 0
-        assert out["log_id"].tolist() == kept
-        assert out["template_id"].tolist() == [seq[i] for i in kept]
-        assert out["template"].tolist() == [
-            model.nodes[seq[i]].text() if seq[i] >= 0 else "" for i in kept
-        ]
+        pdf = pd.DataFrame({"message": pd.Series(msgs, dtype=object), "log_id": range(len(msgs))})
+        df = spark.createDataFrame(pdf, "message string, log_id long")
+        for threshold in (None, 0.8):
+            out = match_df(spark, df, model, threshold=threshold).toPandas().sort_values("log_id")
+            seq = match_sequential(msgs, model, threshold=threshold, add_unmatched=False)
+            assert -1 in seq and max(seq) >= 0
+            assert out["log_id"].tolist() == list(range(len(msgs)))
+            assert out["template_id"].tolist() == seq
+            assert out["template"].tolist() == [model.nodes[i].text() if i >= 0 else "" for i in seq]
+
+    def test_match_df_schema(self, spark, corpus):
+        """The output columns and types callers read: the benchmark's
+        checks select ``log_id`` and aggregate ``template_id``."""
+        df, pdf = corpus
+        model = train_model_sequential(pdf["message"].tolist()[:50])
+        fields = [(f.name, f.dataType.simpleString()) for f in match_df(spark, df, model).schema]
+        assert fields == [("log_id", "bigint"), ("template_id", "bigint"), ("template", "string")]
 
     def test_train_two_stages_match_no_regex_plan(self, spark, corpus):
         """Training runs the preprocessing stage and the per-group stage,

@@ -18,7 +18,6 @@ from repro.core import (
     train_model,
     train_model_sequential,
 )
-from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
 from repro.core.tokenizer import WILDCARD, preprocess_message
 from repro.eval.ga import grouping_accuracy
@@ -258,15 +257,13 @@ class TestComputeOnce:
         assert match_sequential(batch, model, threshold=threshold) == want
         assert len(model.nodes) == len(alone.nodes)
 
-    # Mac: a split whose injected one-log cluster overlaps a sibling, so
-    # that log forms two tree nodes; Android: a cluster scored by the
-    # ensure-saturation-increase checks of two different splits.
+    # Android: a cluster scored by the ensure-saturation-increase checks
+    # of two different splits.
     @pytest.mark.parametrize("name", ["Mac", "Android"])
     def test_each_node_evaluated_once(self, monkeypatch, name):
         """No (sub-matrix, counts) pair reaches ``node_stats`` or
-        ``resolved_masks`` twice within one ``build_tree``, unless those
-        rows form more than one tree node, and no one-log node reaches
-        them at all."""
+        ``resolved_masks`` twice within one ``build_tree``, and no one-log
+        node reaches them at all."""
         calls = {"node_stats": Counter(), "resolved_masks": Counter()}
         rows_seen = Counter()
 
@@ -294,10 +291,8 @@ class TestComputeOnce:
             for c in calls.values():
                 c.clear()
             rows = real_build_tree(mat, counts, *args, **kwargs)
-            codes = factorize(mat)[0]
-            nodes = Counter((codes[r.rows].tobytes(), counts[r.rows].tobytes()) for r in rows)
             for fn_calls in calls.values():
-                assert all(n <= max(1, nodes[key]) for key, n in fn_calls.items())
+                assert all(n == 1 for n in fn_calls.values())
             return rows
 
         monkeypatch.setattr(train, "build_tree", build_tree)
