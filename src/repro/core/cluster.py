@@ -188,7 +188,6 @@ class TreeRow:
     template: tuple[str, ...]
     saturation: float
     n_logs: int
-    depth: int
     rows: np.ndarray  # unique-log indices (training assignment)
 
 
@@ -223,11 +222,10 @@ def build_tree(
     stack: list[tuple[np.ndarray, int]] = [(np.arange(mat.shape[0]), -1)]
     while stack:
         rows, parent = stack.pop()
-        depth = 0 if parent < 0 else out[parent].depth + 1
         n_logs = int(counts[rows].sum())
         if len(rows) == 1:
             # Saturated by definition (s = 1): the log is its own template.
-            out.append(TreeRow(parent, texts[int(rows[0])], 1.0, n_logs, depth, rows))
+            out.append(TreeRow(parent, texts[int(rows[0])], 1.0, n_logs, rows))
             continue
         (nu, _, _), _, sat = evaluate(rows)
         if parent >= 0:
@@ -235,7 +233,7 @@ def build_tree(
         first = texts[int(rows[0])]
         template = tuple(first[i] if nu[i] == 1 else WILDCARD for i in range(len(nu)))
         idx = len(out)
-        out.append(TreeRow(parent, template, float(sat), n_logs, depth, rows))
+        out.append(TreeRow(parent, template, float(sat), n_logs, rows))
         if sat >= SAT_TARGET:
             continue
         children = split_node(codes, vocab, counts, rows, sat, cfg, rng, evaluate)

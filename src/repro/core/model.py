@@ -44,7 +44,7 @@ class TemplateNode:
     template: tuple[str, ...]
     saturation: float
     n_logs: int
-    depth: int
+    depth: int  # ``add_node`` sets depth and group_key from the parent link
     group_key: str
 
     def text(self) -> str:
@@ -120,11 +120,18 @@ class ParserModel:
         self.train_assignment: dict[tuple[str, ...], int] = {}
 
     # -- construction -------------------------------------------------
-    def add_node(self, *, saturation: float, **kw) -> TemplateNode:
-        """Append a node. Its saturation is stored rounded to 6 places,
-        the precision ``to_json`` keeps, so a model and its JSON copy
-        answer threshold queries alike."""
-        node = TemplateNode(nid=len(self.nodes), saturation=round(float(saturation), 6), **kw)
+    def add_node(self, parent: int, template: tuple[str, ...], saturation: float,
+                 n_logs: int, group_key: str = "") -> TemplateNode:
+        """Append a node; the only code that sets its depth and group. A
+        root (``parent`` -1) has depth 0 and keeps ``group_key``; a child
+        is one level below its parent, in its parent's group. Saturation
+        is stored rounded to 6 places, the precision ``to_json`` keeps, so
+        a model and its JSON copy answer threshold queries alike."""
+        depth = 0
+        if parent >= 0:
+            depth, group_key = self.nodes[parent].depth + 1, self.nodes[parent].group_key
+        node = TemplateNode(len(self.nodes), parent, template, round(float(saturation), 6),
+                            n_logs, depth, group_key)
         self.nodes.append(node)
         self._buckets = None
         return node
@@ -132,10 +139,8 @@ class ParserModel:
     def add_temp_template(self, tokens: tuple[str, ...]) -> TemplateNode:
         """Insert an unmatched log as a temporary singleton template
         (§3, online matching) so subsequent logs of its kind match."""
-        return self.add_node(
-            parent=-1, template=tuple(tokens), saturation=1.0,
-            n_logs=1, depth=0, group_key="temp",
-        )
+        return self.add_node(parent=-1, template=tuple(tokens), saturation=1.0, n_logs=1,
+                             group_key="temp")
 
     # -- matching (§4.8) ----------------------------------------------
     def _ensure_index(self) -> dict[int, _LengthBucket]:
@@ -182,11 +187,13 @@ class ParserModel:
 
     # -- persistence & size (§5.4.4, Table 5) -------------------------
     def to_json(self) -> str:
+        """Rows ``[parent, template, saturation, n_logs]`` in nid order, a
+        root's with its group key: ``add_node``'s arguments, nothing derived."""
         return json.dumps(
             {
                 "nodes": [
-                    [nd.parent, nd.template, nd.saturation,
-                     nd.n_logs, nd.depth, nd.group_key]
+                    [nd.parent, nd.template, nd.saturation, nd.n_logs]
+                    + ([nd.group_key] if nd.parent < 0 else [])
                     for nd in self.nodes
                 ]
             }
@@ -195,11 +202,8 @@ class ParserModel:
     @classmethod
     def from_json(cls, blob: str) -> "ParserModel":
         model = cls()
-        for parent, tmpl, sat, n_logs, depth, gk in json.loads(blob)["nodes"]:
-            model.add_node(
-                parent=parent, template=tuple(tmpl), saturation=sat,
-                n_logs=n_logs, depth=depth, group_key=gk,
-            )
+        for parent, tmpl, *rest in json.loads(blob)["nodes"]:
+            model.add_node(parent, tuple(tmpl), *rest)
         return model
 
     @property
@@ -219,8 +223,8 @@ class ParserModel:
         for nd in self.nodes:
             by_parent.setdefault((nd.group_key, nd.parent), []).append(nd)
         mapping: dict[int, int] = {}
-        for nd in sorted(newer.nodes, key=lambda x: x.depth):
-            parent_here = mapping.get(nd.parent, -1) if nd.parent >= 0 else -1
+        for nd in newer.nodes:  # parents first: a node's parent has a smaller nid
+            parent_here = mapping[nd.parent] if nd.parent >= 0 else -1
             best, best_sim = None, 0.0
             for cand in by_parent.get((nd.group_key, parent_here), []):
                 if len(cand.template) != len(nd.template):
@@ -234,10 +238,8 @@ class ParserModel:
                 best.saturation = max(best.saturation, nd.saturation)
                 mapping[nd.nid] = best.nid
             else:
-                new = self.add_node(
-                    parent=parent_here, template=nd.template, saturation=nd.saturation,
-                    n_logs=nd.n_logs, depth=nd.depth, group_key=nd.group_key,
-                )
+                new = self.add_node(parent=parent_here, template=nd.template, n_logs=nd.n_logs,
+                                    saturation=nd.saturation, group_key=nd.group_key)
                 by_parent.setdefault((nd.group_key, parent_here), []).append(new)
                 mapping[nd.nid] = new.nid
         self._buckets = None

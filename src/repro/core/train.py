@@ -33,7 +33,7 @@ from repro.core.tokenizer import preprocess_message
 
 _TREE_SCHEMA = (
     "group_key string, idx long, parent long, template array<string>, "
-    "saturation double, n_logs long, depth long"
+    "saturation double, n_logs long"
 )
 
 
@@ -96,12 +96,12 @@ def _cluster_group(
 
 def _add_tree(model: ParserModel, group_key: str, rows) -> int:
     """Append one group's tree rows (``parent``, ``template``,
-    ``saturation``, ``n_logs``, ``depth``; local-index order) as model
-    nodes. Local parent ``p`` becomes nid ``root + p``; returns ``root``."""
+    ``saturation``, ``n_logs``; local-index order) as model nodes. Local
+    parent ``p`` becomes nid ``root + p``; returns ``root``."""
     root = len(model.nodes)
     for r in rows:
         model.add_node(parent=root + r.parent if r.parent >= 0 else -1, template=tuple(r.template),
-                       saturation=r.saturation, n_logs=r.n_logs, depth=r.depth, group_key=group_key)
+                       saturation=r.saturation, n_logs=r.n_logs, group_key=group_key)
     return root
 
 
@@ -137,7 +137,7 @@ def train_model(
         rows = _cluster_group(gk, texts, pdf["cnt"].to_numpy(), cfg)[0]
         # Integer column labels: Spark takes ``_TREE_SCHEMA``'s columns by position.
         return pd.DataFrame(
-            [(gk, i, r.parent, list(r.template), r.saturation, r.n_logs, r.depth)
+            [(gk, i, r.parent, list(r.template), r.saturation, r.n_logs)
              for i, r in enumerate(rows)]
         )
 

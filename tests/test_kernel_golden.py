@@ -7,14 +7,18 @@ the clustering kernel was vectorised (one-pass node statistics, one
 unchanged, when templates went from separator-joined strings to JSON
 arrays. They were re-recorded again when ``split_node`` stopped injecting
 a cluster in its last round: the moved models lost only the one-log
-leaves that had duplicated a log of a sibling. ``naive_match`` only adds the training assignment, which
+leaves that had duplicated a log of a sibling. They were re-recorded
+once more, with every node's (parent, template, saturation, n_logs,
+depth, group key) unchanged, when the JSON rows dropped the depth and a
+child's group key, which ``add_node`` derives from the parent link.
+``naive_match`` only adds the training assignment, which
 ``to_json`` does not serialize, so that case pins a digest of the
 assignment (token tuple -> node id) too. ``web-access-high`` (recorded
 before training computed each node's statistics once) is one length
 group of all-unique access lines clustered as a single tree: it pins the
 independence filter on many rows and the reuse of the
 ensure-saturation-increase check's cluster statistics. A change that
-alters the trees on purpose must re-record these with
+alters the trees or their JSON form on purpose must re-record these with
 ``PYTHONPATH=src python -m tests.record_golden --write`` and say so.
 """
 import hashlib
@@ -43,51 +47,51 @@ CORPORA = {
 
 GOLDEN = {
     "HDFS": {
-        "default": "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
-        "prefix_k=1": "6a3ba40cfcb96646623666665e443b4f9d16c6e78dacb9ce845386ed3bc26ece",
-        "early_stop=False": "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
-        "dedup=False": "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
-        "variable_credit=False": "84794ba7770bba7e2326ce54faa025c2870443b0b2b71a9f5ac339ec06253336",
+        "default": "d0225dabfb2cd132c560f9ce28c32a8135dc15f8109c1bd84c429aa4a94e4f4c",
+        "prefix_k=1": "a625deee3e195f0c6f96280170553eba3a5e26beaf5337d9e2fc9992b3387dd2",
+        "early_stop=False": "d0225dabfb2cd132c560f9ce28c32a8135dc15f8109c1bd84c429aa4a94e4f4c",
+        "dedup=False": "d0225dabfb2cd132c560f9ce28c32a8135dc15f8109c1bd84c429aa4a94e4f4c",
+        "variable_credit=False": "ad2c143206f85a4696c168de736d33cf0ff10afb1a0b7d52b5347260523b2fcb",
         "naive_match=True": (
-            "299f6f78f4a0806e26a20cbfff73b89be626cbe5216096f012d57b7770b31015",
+            "d0225dabfb2cd132c560f9ce28c32a8135dc15f8109c1bd84c429aa4a94e4f4c",
             "1578ade730b1bd9e76b9b22450596864390f7415d993943d69589ddd47128d8e",
         ),
     },
     "Zookeeper": {
-        "default": "f543938580e23ceb98beed3ce19761d77935c4cabef8a412c1fa9ee50fc9caf0",
-        "prefix_k=1": "c3ab693550100296deaf80aa493bec3caf7150d39a72e7e9e3b466b0076a813d",
-        "early_stop=False": "6a84b6ffc439e7b2a56da9c18417a0a67b13ff4f1790463f30eb3f7abcafe983",
-        "dedup=False": "6c23e3c9052fd9d880fd4dcd8537506ea4c5d68ccc09c4604e4ce2a28e4e14c9",
-        "variable_credit=False": "bcc60179aa5244e70e9b1192ec522113bb39aa946f5d0eeadc82aed867f36c3a",
+        "default": "8162fb92a178c0ecb930459e266adfe7a6e92666e4b5cc17c1dba179f6474a9e",
+        "prefix_k=1": "16d8421bc3d385f238dd73c7093b8eb93f63f52b90da4b22052b5a78ef78df25",
+        "early_stop=False": "4640b945a4f12dcac9ea80ee04b48cf581634dbae80a86e4f1a29b141ab1cc80",
+        "dedup=False": "f454a03878b5e0d24f494b0c3abd66ffc00ea26383a7ff5a25fdf8bda08ba65e",
+        "variable_credit=False": "7477446e764262f3ecb461b31a690e8f1d6af8c5ea2458aba13651d5369ffa2f",
         "naive_match=True": (
-            "f543938580e23ceb98beed3ce19761d77935c4cabef8a412c1fa9ee50fc9caf0",
+            "8162fb92a178c0ecb930459e266adfe7a6e92666e4b5cc17c1dba179f6474a9e",
             "9ff6a26a01be8953621d41ed6525d53e6091540563feac0aa47537d85159338f",
         ),
     },
     "Hadoop": {
-        "default": "b14b63db0d3fb13ffbe98f1618773c5befd44c5639f0154269c5d4408c059377",
-        "prefix_k=1": "454e76fe7ae17ad854dab726205e47a0c491c9fd355e4223e7bb02ddf84c69ef",
-        "early_stop=False": "f0013e7abb08bde61982a4d54bb02f0f870ae92cce5b9a94f226971a32972d35",
-        "dedup=False": "f67b8d7494e2444c883e25c33f01be3416acbc997faed78984d3a10e16b836db",
-        "variable_credit=False": "a5c80b2698dc40fa56653a61cbc186b0ab1e3b49a74723786aeb8b7a67c810e7",
+        "default": "1ec9542931d8829da0c4f7c575a3c3d5cfd11b1371eadc6a4137955a3bb33e2d",
+        "prefix_k=1": "0cadb88df064551e996148941a27d80bcf3202ed4c8365c8613d449d1324a0ca",
+        "early_stop=False": "861648914da644386fff93c2561b0ebfa80b9459120a6050f430fc6df213f6d2",
+        "dedup=False": "ce4707072ed5f66b071acea05a3e8bf71eb45ac097febe8e3bdfbcbfa6f1a75b",
+        "variable_credit=False": "69582f7ff2977db5baa74ddc6679a36e857ac82f5ae64896660a13c807544108",
         "naive_match=True": (
-            "b14b63db0d3fb13ffbe98f1618773c5befd44c5639f0154269c5d4408c059377",
+            "1ec9542931d8829da0c4f7c575a3c3d5cfd11b1371eadc6a4137955a3bb33e2d",
             "23dd0f3fa4882125d508ecb7c2827afc18a47f368d3bcfd5479faeb2be996019",
         ),
     },
     "Mac": {
-        "default": "fc87a055cb695059ef781d84644447adeb2166556d4a86408a6f58ef59b7da21",
-        "prefix_k=1": "109dff9dae144f54b286afc6d84cc08c10a492fef3148ee7cdd5e997e2427a5f",
-        "early_stop=False": "0d68c35441eb308182c45cc3cdd988721a2e212491fab35b62e0d81419ed5689",
-        "dedup=False": "7edc7042a188591a632f04461494c1eab5910354271b73d3412cc023ceb9bb50",
-        "variable_credit=False": "725a92da4ccb78760cdb1e7b7606b1aee9de194e8641369fed50ccad0f457710",
+        "default": "f7f43b15062d2a60b68845e50e0d7d7c6f26bdbd7e48e7868c024ca234b10520",
+        "prefix_k=1": "164dab4a7d06eece2a9d8c139f6b0f27ff598427baeb7ae3d96bc7a25681c1b2",
+        "early_stop=False": "e60fcc11cac02bf89a747151bb8a258b436b4b4a163d52f9f12f3db9f413b117",
+        "dedup=False": "0275850ee7f485a30e05a1a7e0d9b6e8e3d1d9207e1fb71924e0e7eb45f66450",
+        "variable_credit=False": "8e25ba8faefda6321613bea9a0032a71702f440a646799dc5cfa2aa4cd412759",
         "naive_match=True": (
-            "fc87a055cb695059ef781d84644447adeb2166556d4a86408a6f58ef59b7da21",
+            "f7f43b15062d2a60b68845e50e0d7d7c6f26bdbd7e48e7868c024ca234b10520",
             "90b62092d04a9389cfc4c2ca715aebdf84e6296506a04591227bd2ddb1edfb44",
         ),
     },
     "web-access-high": {
-        "default": "1b50ddca74972721212b94a1dc20ece33d2f9d2b206230128ace91d1c2b0e711",
+        "default": "c0aca21790936619ac85c966020fa06ab91a7048abf6919bbe23185c29c17c4b",
     },
 }
 

@@ -18,26 +18,25 @@ LOG_TOKENS = TEMPLATE_TOKENS + ["zz", "\x1f"]
 
 @st.composite
 def banks(draw, pool=TEMPLATE_TOKENS):
-    """Templates of 1–4 tokens, some all-wildcard, with saturation and
-    depth drawn from few values so that ranks tie often."""
+    """Templates of 1–4 tokens, some all-wildcard, each a root or the
+    child of an earlier template (so depths repeat), with saturation
+    drawn from few values, so that ranks tie often."""
     bank = []
-    for _ in range(draw(st.integers(1, 30))):
+    for i in range(draw(st.integers(1, 30))):
         length = draw(st.integers(1, 4))
         if draw(st.integers(0, 5)) == 0:
             template = (WILDCARD,) * length
         else:
             template = tuple(draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)))
-        bank.append((template, draw(st.sampled_from([0.25, 0.5, 1.0])), draw(st.integers(0, 2))))
+        parent = draw(st.integers(-1, i - 1))
+        bank.append((parent, template, draw(st.sampled_from([0.25, 0.5, 1.0]))))
     return bank
 
 
 def build(bank) -> ParserModel:
     model = ParserModel()
-    for template, saturation, depth in bank:
-        model.add_node(
-            parent=-1, template=template, saturation=saturation,
-            n_logs=1, depth=depth, group_key=str(len(template)),
-        )
+    for parent, template, saturation in bank:
+        model.add_node(parent, template, saturation, 1, group_key=str(len(template)))
     return model
 
 

@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.match import add_unmatched_df
 from repro.core.tokenizer import preprocess_message
-from repro.core.train import _assemble
+from repro.core.train import _TREE_SCHEMA, _assemble
 from repro.logs import loghub_lite
 from repro.logs.corpus import to_spark
 from repro.oracle import assert_equivalent
@@ -241,7 +241,9 @@ class TestTrainParity:
 
     def test_assemble_ignores_row_order(self):
         """``_assemble`` rebuilds the sequential model from the tree rows
-        of several groups collected in any order."""
+        of several groups collected in any order. The frame takes its
+        column names from ``_TREE_SCHEMA``, so a column the rows do not
+        carry fails here."""
         pdf, _ = loghub_lite("HDFS")
         model = train_model_sequential(pdf["message"].tolist(), ParserConfig(prefix_k=1))
         roots: dict[str, int] = {}
@@ -251,12 +253,11 @@ class TestTrainParity:
             parent = nd.parent - root if nd.parent >= 0 else -1
             rows.append(
                 (nd.group_key, nd.nid - root, parent, list(nd.template),
-                 nd.saturation, nd.n_logs, nd.depth)
+                 nd.saturation, nd.n_logs)
             )
         assert len(roots) > 2
-        frame = pd.DataFrame(
-            rows, columns=["group_key", "idx", "parent", "template", "saturation", "n_logs", "depth"]
-        ).sample(frac=1.0, random_state=0)
+        columns = [col.split()[0] for col in _TREE_SCHEMA.split(", ")]
+        frame = pd.DataFrame(rows, columns=columns).sample(frac=1.0, random_state=0)
         assert _assemble(frame).to_json() == model.to_json()
 
 

@@ -74,3 +74,23 @@ def test_traced_pass_reports_layers():
     # Tracing changes no result, and the wrappers are gone afterwards.
     assert trained == train_model_sequential(logs).to_json()
     assert train.build_tree is cluster.build_tree
+
+
+def test_max_depth_is_longest_parent_chain():
+    """The benchmark's ``model.max_depth`` is ``max(nd.depth)`` over the
+    model after matching has added temporary templates, read outside any
+    traced call, so no span notices a lost or wrong depth: it must equal
+    the longest parent chain of the model."""
+    msgs = loghub_lite("Mac")[0]["message"].tolist()
+    model = train_model_sequential(msgs[:600])
+    trained = len(model.nodes)
+    match_sequential(msgs[600:], model)
+    assert len(model.nodes) > trained
+
+    def chain(nid: int) -> int:
+        parent = model.nodes[nid].parent
+        return 0 if parent < 0 else 1 + chain(parent)
+
+    longest = max(chain(nd.nid) for nd in model.nodes)
+    assert longest >= 2
+    assert max(nd.depth for nd in model.nodes) == longest
